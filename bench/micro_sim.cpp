@@ -6,10 +6,13 @@
 // --json=PATH) so successive PRs can track the engine trajectory:
 //
 //  1. Task SBO: the scheduler stores actions in sim::Task, a type-erased
-//     callable with a 48-byte inline buffer (libstdc++'s std::function
+//     callable with a 56-byte inline buffer (libstdc++'s std::function
 //     only inlines 16 bytes, so the old scheduler paid one heap round
-//     trip per event). A tight store/invoke loop with a realistic ~40-byte
-//     capture quantifies the saving, plus the engine-level ns/event.
+//     trip per event). A tight store/invoke loop over a capture exactly
+//     the size of the dominant scheduled action — the network's delivery
+//     wrapper around the event-frame handler — quantifies the saving,
+//     plus the engine-level ns/event. The json records that action's real
+//     size and whether it fits inline.
 //
 //  2. Parallel throughput: a fig5-style pub/sub workload (full stack,
 //     every node subscribing, dense event feed) executed with the same
@@ -59,12 +62,17 @@ struct Params {
 
 // --- 1. Task SBO --------------------------------------------------------
 
-/// A realistic scheduled-action capture: `this` + a 32-byte handler-sized
-/// payload — inline in Task (48 B), heap-spilled by std::function (16 B).
+/// The action every fire-and-forget event message schedules.
+using FrameAction = core::HyperSubSystem::FrameDeliveryAction;
+
+/// A stand-in capture of exactly FrameAction's size (a sink pointer plus
+/// payload words) — inline in Task, heap-spilled by std::function (16 B).
 struct Capture {
-  void* self;
-  std::uint64_t payload[4];
+  std::uint64_t* sink;
+  std::uint64_t payload[(sizeof(FrameAction) - sizeof(void*)) /
+                        sizeof(std::uint64_t)];
 };
+static_assert(sizeof(Capture) == sizeof(FrameAction));
 
 template <class Callable>
 double ns_per_store_invoke(std::size_t iters, std::uint64_t& sink) {
@@ -72,7 +80,7 @@ double ns_per_store_invoke(std::size_t iters, std::uint64_t& sink) {
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
     cap.payload[0] = i;
-    Callable c([cap, &sink] { sink += cap.payload[0] + cap.payload[3]; });
+    Callable c([cap] { *cap.sink += cap.payload[0] + cap.payload[3]; });
     c();
   }
   return ns_between(t0, Clock::now()) / double(iters);
@@ -84,7 +92,7 @@ double engine_ns_per_event(std::size_t n, std::uint64_t& sink) {
   const auto t0 = Clock::now();
   for (std::size_t i = 0; i < n; ++i) {
     cap.payload[0] = i;
-    s.schedule(double(i % 97), [cap, &sink] { sink += cap.payload[0]; });
+    s.schedule(double(i % 97), [cap] { *cap.sink += cap.payload[0]; });
   }
   s.run();
   return ns_between(t0, Clock::now()) / double(n);
@@ -192,11 +200,7 @@ int main(int argc, char** argv) {
   const double ns_function =
       ns_per_store_invoke<std::function<void()>>(kIters, sink);
   const double ns_engine = engine_ns_per_event(500000, sink);
-  const auto probe = [cap = Capture{}, &sink] {
-    (void)cap;
-    (void)sink;
-  };
-  const bool fits = sim::Task::fits_inline<decltype(probe)>();
+  const bool fits = sim::Task::fits_inline<FrameAction>();
   std::printf("[micro_sim] Task store+invoke %.1f ns, std::function %.1f ns "
               "(%.2fx), engine %.1f ns/event, capture inline: %s\n",
               ns_task, ns_function, ns_function / ns_task, ns_engine,
@@ -239,7 +243,7 @@ int main(int argc, char** argv) {
                "  \"task_inline_size\": %zu,\n"
                "  \"capture_fits_inline\": %s\n },\n",
                ns_task, ns_function, ns_function / ns_task, ns_engine,
-               sizeof(Capture), sim::Task::kInlineSize,
+               sizeof(FrameAction), sim::Task::kInlineSize,
                fits ? "true" : "false");
   std::fprintf(f, " \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace hypersub::chord {
 
@@ -31,6 +32,7 @@ void ChordNode::set_successor(NodeRef s) {
     succ_ = std::move(dedup);
     if (succ_.size() > succ_cap_) succ_.resize(succ_cap_);
   }
+  routes_dirty_ = true;
 }
 
 void ChordNode::adopt_successor_list(NodeRef succ,
@@ -45,6 +47,7 @@ void ChordNode::adopt_successor_list(NodeRef succ,
       succ_.push_back(n);
     }
   }
+  routes_dirty_ = true;
 }
 
 void ChordNode::remove_peer(Id failed) {
@@ -57,6 +60,7 @@ void ChordNode::remove_peer(Id failed) {
     if (f.valid() && f.id == failed) f = NodeRef{};
   }
   if (pred_.valid() && pred_.id == failed) pred_ = NodeRef{};
+  routes_dirty_ = true;
 }
 
 bool ChordNode::owns(Id key) const {
@@ -64,25 +68,38 @@ bool ChordNode::owns(Id key) const {
   return ring::in_open_closed(key, pred_.id, id_);
 }
 
-NodeRef ChordNode::closest_preceding(Id target) const {
-  // Pick the known node with the greatest clockwise progress from us while
-  // staying strictly inside (id, target) — or landing exactly on target's
-  // ... predecessor side. Standard Chord closest_preceding_finger extended
-  // over the successor list.
-  NodeRef best = self();
-  Id best_dist = 0;  // progress distance(id_, best.id); self has 0
-  auto consider = [&](const NodeRef& n) {
-    if (!n.valid() || n.id == id_) return;
-    if (!ring::in_open(n.id, id_, target)) return;
-    const Id d = ring::distance(id_, n.id);
-    if (d > best_dist) {
-      best_dist = d;
-      best = n;
-    }
+void ChordNode::rebuild_routes() const {
+  routes_.clear();
+  const auto add = [&](const NodeRef& n) {
+    if (n.valid() && n.id != id_) routes_.push_back(n);
   };
-  for (const auto& f : fingers_) consider(f);
-  for (const auto& s : succ_) consider(s);
-  return best;
+  for (const auto& f : fingers_) add(f);
+  for (const auto& s : succ_) add(s);
+  // Stable: among entries with one id the first-seen stays first, and it is
+  // the one the scan would keep (it only replaces on strictly farther).
+  std::stable_sort(routes_.begin(), routes_.end(),
+                   [this](const NodeRef& a, const NodeRef& b) {
+                     return ring::distance(id_, a.id) <
+                            ring::distance(id_, b.id);
+                   });
+  routes_.erase(std::unique(routes_.begin(), routes_.end(),
+                            [](const NodeRef& a, const NodeRef& b) {
+                              return a.id == b.id;
+                            }),
+                routes_.end());
+  routes_dirty_ = false;
+}
+
+NodeRef ChordNode::closest_preceding(Id target) const {
+  // The farthest known node strictly inside the clockwise arc (id, target):
+  // the last table entry closer than target. target == id_ is an empty arc.
+  if (routes_dirty_) rebuild_routes();
+  const Id limit = ring::distance(id_, target);
+  const auto past = std::partition_point(
+      routes_.begin(), routes_.end(), [&](const NodeRef& n) {
+        return ring::distance(id_, n.id) < limit;
+      });
+  return past == routes_.begin() ? self() : *std::prev(past);
 }
 
 std::vector<NodeRef> ChordNode::neighbors() const {

@@ -55,12 +55,16 @@ class ChordNode {
     succ_.clear();
     pred_ = NodeRef{};
     fingers_.fill(NodeRef{});
+    routes_dirty_ = true;
   }
 
   // -- fingers -------------------------------------------------------------
 
   const NodeRef& finger(int i) const { return fingers_[std::size_t(i)]; }
-  void set_finger(int i, NodeRef f) { fingers_[std::size_t(i)] = f; }
+  void set_finger(int i, NodeRef f) {
+    fingers_[std::size_t(i)] = f;
+    routes_dirty_ = true;
+  }
 
   // -- routing decisions ---------------------------------------------------
 
@@ -69,10 +73,14 @@ class ChordNode {
   /// node cannot claim ownership (returns key == id()).
   bool owns(Id key) const;
 
-  /// The routing-table neighbor whose id most closely precedes (or equals)
-  /// `target` going clockwise from this node — Alg. 5 line 20. Scans
-  /// fingers and the successor list; returns self() when the table holds no
-  /// node in (id, target].
+  /// The routing-table neighbor whose id most closely precedes `target`
+  /// going clockwise from this node — Alg. 5 line 20 over the fingers and
+  /// the successor list; returns self() when the table holds no node in
+  /// (id, target). A binary search over the table sorted by clockwise
+  /// distance (rebuilt on first use after a change), returning exactly what
+  /// a linear scan of fingers then successors keeping the first strictly
+  /// farther entry would. Like every ChordNode accessor it must only be
+  /// called from the owning host's execution context.
   NodeRef closest_preceding(Id target) const;
 
   /// All distinct valid neighbors (fingers + successor list + predecessor);
@@ -86,6 +94,15 @@ class ChordNode {
   std::vector<NodeRef> succ_;
   NodeRef pred_;
   std::array<NodeRef, kIdBits> fingers_{};
+
+  void rebuild_routes() const;
+
+  /// closest_preceding's lookup table: the distinct valid entries of
+  /// fingers_ then succ_ (first occurrence of an id wins), ascending by
+  /// ring::distance(id_, id). A cache of the two tables, hence mutable;
+  /// every mutator of fingers_ or succ_ marks it dirty.
+  mutable std::vector<NodeRef> routes_;
+  mutable bool routes_dirty_ = true;
 };
 
 }  // namespace hypersub::chord

@@ -1620,6 +1620,20 @@ void HyperSubSystem::flush_batch(net::HostIndex host, net::HostIndex to) {
   send_frame(host, to, std::move(chunks));
 }
 
+void HyperSubSystem::FrameDelivery::operator()() const {
+  // §6 piggyback: event traffic doubles as liveness evidence for the DHT
+  // layer (no-op unless enabled).
+  sys->dht_.note_app_contact(to, sender);
+  if (auto* tr = trace::maybe(sys->tracer_)) {
+    const double now = sys->simulator().now();
+    for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
+  }
+  for (FrameChunk& c : *chunks) {
+    sys->process_event_message(to, c.ctx, std::move(*c.subids), c.hops + 1,
+                               c.fwd_span);
+  }
+}
+
 void HyperSubSystem::send_frame(
     net::HostIndex host, net::HostIndex to,
     std::shared_ptr<std::vector<FrameChunk>> chunks) {
@@ -1671,22 +1685,7 @@ void HyperSubSystem::send_frame(
   const Id sender = dht_.id_of(host);
   if (!cfg_.reliable_delivery) {
     network().send(host, to, bytes,
-                   [this, to, sender, chunks = std::move(chunks)] {
-                     // §6 piggyback: event traffic doubles as liveness
-                     // evidence for the DHT layer (no-op unless enabled).
-                     dht_.note_app_contact(to, sender);
-                     if (auto* tr = trace::maybe(tracer_)) {
-                       const double now = simulator().now();
-                       for (const FrameChunk& c : *chunks) {
-                         tr->end(c.fwd_span, now);
-                       }
-                     }
-                     for (FrameChunk& c : *chunks) {
-                       process_event_message(to, c.ctx,
-                                             std::move(*c.subids),
-                                             c.hops + 1, c.fwd_span);
-                     }
-                   });
+                   FrameDelivery{this, to, sender, std::move(chunks)});
     return;
   }
   // The channel's retry/expire spans attach under the first traced chunk's

@@ -443,6 +443,24 @@ class HyperSubSystem {
     trace::SpanId fwd_span = trace::kNoSpan;
   };
 
+  /// Arrival handler of one fire-and-forget event frame (send_frame). A
+  /// named type so its size can be pinned: wrapped in net::Network::Delivery
+  /// it must fit sim::Task's inline buffer, or every event message pays a
+  /// heap allocation (tests/test_sim.cpp checks it).
+  struct FrameDelivery {
+    HyperSubSystem* sys;
+    net::HostIndex to;
+    Id sender;
+    std::shared_ptr<std::vector<FrameChunk>> chunks;
+
+    void operator()() const;
+  };
+
+ public:
+  /// The action the scheduler stores for one event frame on the wire.
+  using FrameDeliveryAction = net::Network::Delivery<FrameDelivery>;
+
+ private:
   // -- live state transfer (join/leave tentpole) ------------------------------
   // One outbound session per old owner and one warm buffer per joiner, each
   // touched only on its own host's shard — handlers run where the transfer

@@ -62,33 +62,24 @@ void Network::fold_deltas() {
   }
 }
 
-void Network::send(HostIndex from, HostIndex to, std::uint64_t bytes,
-                   std::function<void()> handler) {
-  assert(from < alive_.size() && to < alive_.size());
-  if (from == to) {
-    sim_.schedule(0.0, std::move(handler));
-    return;
-  }
+bool Network::admit(HostIndex from, HostIndex to, std::uint64_t bytes) {
   if (!alive_[to] || !alive_[from]) {
     account_drop();
-    return;
+    return false;
   }
   account_send(from, to, bytes);
+  return true;
+}
+
+double Network::wire_delay(HostIndex from, HostIndex to) const {
   // The destination's shard executes the delivery (the handler touches the
   // receiver's state). Conservative mode additionally clamps the delay to
   // the lookahead so cross-shard messages never land inside the sending
   // window — with a lookahead at or below the minimum link latency this
   // changes nothing at all.
-  double delay = topo_.latency(from, to);
-  if (delay < sim_.effective_lookahead()) delay = sim_.effective_lookahead();
-  // Re-check liveness at delivery time: the destination may die in flight.
-  sim_.schedule_on(to, delay, [this, to, h = std::move(handler)]() mutable {
-    if (alive_[to]) {
-      h();
-    } else {
-      account_drop();
-    }
-  });
+  const double delay = topo_.latency(from, to);
+  const double floor = sim_.effective_lookahead();
+  return delay < floor ? floor : delay;
 }
 
 void Network::kill(HostIndex h) {

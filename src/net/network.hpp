@@ -7,6 +7,11 @@
 // topology's one-way delay between the two hosts; host-local processing is
 // treated as free, matching the paper's packet-level model.
 //
+// Per-message cost: send() is a template, so the handler's own closure type
+// is stored (inside Network::Delivery) directly in the scheduler's sim::Task:
+// one type erasure, and no heap allocation while the two fit Task's inline
+// buffer (the event-frame handler does; tests/test_sim.cpp pins it).
+//
 // Parallel-engine integration: delivery handlers are scheduled on the
 // destination host's shard (the handler touches the receiver's state), the
 // one-way delay is clamped to the simulator's conservative lookahead (so a
@@ -16,8 +21,9 @@
 // sums are commutative, so totals are byte-identical to a sequential run.
 
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,13 +52,44 @@ class Network {
   sim::Simulator& simulator() noexcept { return sim_; }
   const Topology& topology() const noexcept { return topo_; }
 
-  /// Deliver `handler` at the destination after the one-way latency
-  /// (clamped to the simulator's lookahead), on the destination's shard.
-  /// Accounts `bytes` against both endpoints. Messages to self are delivered
-  /// after `local_delay_ms` (default 0) without traffic accounting.
-  /// Messages to dead hosts are dropped (counted in dropped()).
-  void send(HostIndex from, HostIndex to, std::uint64_t bytes,
-            std::function<void()> handler);
+  /// The action scheduled for one remote message: runs `handler` on
+  /// arrival unless the destination died in flight, in which case the
+  /// message counts as dropped. Stored by value in the scheduler's
+  /// sim::Task, so the handler's closure is never type-erased twice.
+  template <class F>
+  struct Delivery {
+    Network* net;
+    HostIndex to;
+    F handler;
+
+    void operator()() {
+      if (net->alive_[to]) {
+        handler();
+      } else {
+        net->account_drop();
+      }
+    }
+  };
+
+  /// Deliver `handler` (any move-constructible `void()` callable) at the
+  /// destination after the one-way latency (clamped to the simulator's
+  /// lookahead), on the destination's shard. Accounts `bytes` against both
+  /// endpoints. Messages to self run at the current time on the current
+  /// shard without traffic accounting. Messages to or from dead hosts are
+  /// dropped (counted in dropped()), and so are messages whose destination
+  /// dies before they arrive.
+  template <class F>
+  void send(HostIndex from, HostIndex to, std::uint64_t bytes, F&& handler) {
+    assert(from < alive_.size() && to < alive_.size());
+    if (from == to) {
+      sim_.schedule(0.0, std::forward<F>(handler));
+      return;
+    }
+    if (!admit(from, to, bytes)) return;
+    sim_.schedule_on(sim::Shard(to), wire_delay(from, to),
+                     Delivery<std::decay_t<F>>{this, to,
+                                               std::forward<F>(handler)});
+  }
 
   /// Mark a host dead; future messages to it are dropped (failure injection).
   void kill(HostIndex h);
@@ -94,6 +131,11 @@ class Network {
     std::uint64_t dropped = 0;
   };
 
+  /// Liveness check + traffic accounting of a remote send; false when the
+  /// message is dropped.
+  bool admit(HostIndex from, HostIndex to, std::uint64_t bytes);
+  /// One-way delay, clamped to the simulator's effective lookahead.
+  double wire_delay(HostIndex from, HostIndex to) const;
   void account_send(HostIndex from, HostIndex to, std::uint64_t bytes);
   void account_drop();
   void fold_deltas();

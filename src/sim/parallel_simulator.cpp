@@ -49,10 +49,8 @@ ParallelEngine::ParallelEngine(Simulator& sim, unsigned workers)
   }
   // Redistribute the sequential queue into per-worker heaps.
   while (!sim_.queue_.empty()) {
-    Simulator::Entry e =
-        std::move(const_cast<Simulator::Entry&>(sim_.queue_.top()));
-    sim_.queue_.pop();
-    push_pre(std::move(e));
+    const EventQueue::Key k = sim_.queue_.top();
+    push_pre(k.when, k.seq, k.shard, sim_.queue_.pop());
   }
   threads_.reserve(nworkers_);
   for (unsigned i = 0; i < nworkers_; ++i) {
@@ -77,18 +75,16 @@ ParallelEngine::ShardState& ParallelEngine::shard_state(Shard shard) {
   return *shards_[shard];
 }
 
-void ParallelEngine::push_pre(Simulator::Entry e) {
-  if (e.shard == kNoShard) {
-    exclusive_.push(std::move(e));
-  } else {
-    shard_state(e.shard).heap.push(std::move(e));
-  }
+void ParallelEngine::push_pre(Time when, std::uint64_t seq, Shard shard,
+                              Task&& action) {
+  EventQueue& q = shard == kNoShard ? exclusive_ : shard_state(shard).heap;
+  q.push(when, seq, shard, std::move(action));
 }
 
 bool ParallelEngine::peek_min(Time& when, std::uint64_t& seq,
                               bool& exclusive) const {
   bool found = false;
-  const auto consider = [&](const Simulator::Entry& e, bool ex) {
+  const auto consider = [&](const EventQueue::Key& e, bool ex) {
     if (!found || e.when < when || (e.when == when && e.seq < seq)) {
       found = true;
       when = e.when;
@@ -115,14 +111,12 @@ std::uint64_t ParallelEngine::run(Time until, bool bounded) {
     if (excl) {
       // Exclusive events run alone on the main thread, between windows;
       // their schedules go straight into the heaps with global seqs.
-      Simulator::Entry e =
-          std::move(const_cast<Simulator::Entry&>(exclusive_.top()));
-      exclusive_.pop();
-      sim_.now_ = e.when;
+      sim_.now_ = exclusive_.top().when;
+      Task action = exclusive_.pop();
       sim_.current_shard_ = kNoShard;
       ++sim_.executed_;
       ++executed;
-      e.action();
+      action();
       sim_.current_shard_ = kNoShard;
       continue;
     }
@@ -132,7 +126,7 @@ std::uint64_t ParallelEngine::run(Time until, bool bounded) {
     // run_until position.
     detail::Bound b{w + sim_.effective_lookahead(), UINT64_MAX, true};
     if (!exclusive_.empty()) {
-      const Simulator::Entry& t = exclusive_.top();
+      const EventQueue::Key& t = exclusive_.top();
       b = detail::Bound::min(b, {t.when, t.seq, true});
     }
     if (bounded) b = detail::Bound::min(b, {until, UINT64_MAX, false});
@@ -249,14 +243,12 @@ void ParallelEngine::drain_shard(ShardState& s, WorkerState& w,
       rec.shard = st.shard;
       action = std::move(st.action);
     } else {
-      Simulator::Entry e =
-          std::move(const_cast<Simulator::Entry&>(s.heap.top()));
-      s.heap.pop();
-      rec.when = e.when;
+      const EventQueue::Key k = s.heap.top();
+      rec.when = k.when;
       rec.pre = true;
-      rec.seq = e.seq;
-      rec.shard = e.shard;
-      action = std::move(e.action);
+      rec.seq = k.seq;
+      rec.shard = k.shard;
+      action = s.heap.pop();
     }
     tls.shard = rec.shard;
     tls.now = rec.when;
@@ -328,8 +320,7 @@ std::uint64_t ParallelEngine::barrier_merge() {
               return detail::sched_before(a.key, b.key);
             });
   for (auto& s : staged) {
-    push_pre(Simulator::Entry{s.when, sim_.seq_++, s.shard,
-                              std::move(s.action)});
+    push_pre(s.when, sim_.seq_++, s.shard, std::move(s.action));
   }
 
   // (b) Apply deferred side effects in sequential order, each under its
@@ -356,10 +347,10 @@ std::uint64_t ParallelEngine::barrier_merge() {
 }
 
 void ParallelEngine::drain_to_queue() {
-  const auto move_all = [&](Simulator::Queue& q) {
+  const auto move_all = [&](EventQueue& q) {
     while (!q.empty()) {
-      sim_.queue_.push(std::move(const_cast<Simulator::Entry&>(q.top())));
-      q.pop();
+      const EventQueue::Key k = q.top();
+      sim_.queue_.push(k.when, k.seq, k.shard, q.pop());
     }
   };
   move_all(exclusive_);

@@ -159,7 +159,7 @@ class ParallelEngine {
 
   /// Main-thread push of an already-sequenced entry (exclusive events'
   /// schedules during a run).
-  void push_pre(Simulator::Entry e);
+  void push_pre(Time when, std::uint64_t seq, Shard shard, Task&& action);
 
   /// Hand every remaining entry back to the Simulator queue.
   void drain_to_queue();
@@ -177,7 +177,7 @@ class ParallelEngine {
   // per-host state needs no locks — but a slow shard no longer idles every
   // worker it isn't pinned to.
   struct ShardState {
-    Simulator::Queue heap;               // pre-sequenced entries
+    EventQueue heap;                     // pre-sequenced entries
     std::vector<detail::Staged> staged;  // live same-shard heap (by when,stamp)
     std::uint64_t stamp = 0;             // scheduling order within the shard
   };
@@ -205,7 +205,7 @@ class ParallelEngine {
   unsigned nworkers_;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::unique_ptr<ShardState>> shards_;  // index = shard id
-  Simulator::Queue exclusive_;  // kNoShard entries
+  EventQueue exclusive_;  // kNoShard entries
 
   // Per-window shard claim list: built by the main thread (largest heap
   // first, shard id as the deterministic tiebreak), consumed by workers

@@ -56,7 +56,7 @@ void Simulator::schedule_on(Shard shard, Time delay, Task action) {
   schedule_at_on(now() + delay, shard, std::move(action));
 }
 
-void Simulator::schedule_at_on(Time when, Shard shard, Task action) {
+void Simulator::schedule_at_on(Time when, Shard shard, Task&& action) {
   if (auto* t = detail::worker_tls(); t && t->sim == this) {
     assert(when >= t->now);
     t->engine->worker_stage(*t, when, shard, std::move(action));
@@ -64,11 +64,10 @@ void Simulator::schedule_at_on(Time when, Shard shard, Task action) {
   }
   assert(when >= now_);
   assert(!in_defer_apply_ && "defer_ordered closures must not schedule");
-  Entry e{when, seq_++, shard, std::move(action)};
   if (engine_) {
-    engine_->push_pre(std::move(e));
+    engine_->push_pre(when, seq_++, shard, std::move(action));
   } else {
-    queue_.push(std::move(e));
+    queue_.push(when, seq_++, shard, std::move(action));
   }
 }
 
@@ -79,14 +78,14 @@ void Simulator::stage_defer(Task t) {
 }
 
 void Simulator::pop_and_run() {
-  // Move the action out before popping: the action may schedule new events,
-  // which mutates the queue.
-  Entry e = std::move(const_cast<Entry&>(queue_.top()));
-  queue_.pop();
-  now_ = e.when;
-  current_shard_ = e.shard;
+  // Take the action out before running it: the action may schedule new
+  // events, which mutates the queue.
+  const EventQueue::Key k = queue_.top();
+  Task action = queue_.pop();
+  now_ = k.when;
+  current_shard_ = k.shard;
   ++executed_;
-  e.action();
+  action();
   current_shard_ = kNoShard;
 }
 

@@ -19,23 +19,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/task.hpp"
 
 namespace hypersub::sim {
-
-/// Virtual time in milliseconds since simulation start.
-using Time = double;
-
-/// Execution shard. Events tagged with the same shard execute in mutual
-/// (when, seq) order even in parallel mode; layers tag events with the
-/// index of the host whose state the callback touches. kNoShard marks
-/// *exclusive* events (control plane: driver closures, maintenance ticks)
-/// that run alone between windows and may touch any state.
-using Shard = std::uint32_t;
-inline constexpr Shard kNoShard = 0xffffffffu;
 
 class ParallelEngine;
 namespace detail {
@@ -167,21 +156,7 @@ class Simulator {
  private:
   friend class ParallelEngine;
 
-  struct Entry {
-    Time when;
-    std::uint64_t seq;  // FIFO tiebreak for equal timestamps
-    Shard shard;
-    Task action;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  using Queue = std::priority_queue<Entry, std::vector<Entry>, Later>;
-
-  void schedule_at_on(Time when, Shard shard, Task action);
+  void schedule_at_on(Time when, Shard shard, Task&& action);
   void pop_and_run();
   void stage_defer(Task t);
   std::uint64_t run_parallel(Time until, bool bounded);
@@ -189,7 +164,7 @@ class Simulator {
     for (auto& h : merge_hooks_) h();
   }
 
-  Queue queue_;
+  EventQueue queue_;  // seq is the FIFO tiebreak for equal timestamps
   Time now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -2,7 +2,7 @@
 // Task: a move-only type-erased callable with a small-buffer optimization
 // sized for the engine's hot path. libstdc++'s std::function only inlines
 // captures up to 16 bytes; nearly every scheduled action in this codebase
-// captures a `this` pointer plus a handler plus a couple of ids (~32-48
+// captures a `this` pointer plus a handler plus a couple of ids (~32-56
 // bytes), so the sequential scheduler paid one heap allocation + free per
 // event. Task inlines captures up to kInlineSize bytes and falls back to
 // the heap only beyond that (quantified in bench/micro_sim).
@@ -16,10 +16,12 @@ namespace hypersub::sim {
 
 class Task {
  public:
-  /// Inline capture budget. 48 bytes fits a `this` pointer plus a
-  /// std::function handler (32 B) plus one id — the dominant shape of
-  /// network-delivery closures.
-  static constexpr std::size_t kInlineSize = 48;
+  /// Inline capture budget. 56 bytes fits the dominant shape, a network
+  /// delivery: Network::Delivery's liveness check (network pointer +
+  /// destination, 16 B) around the event-frame handler (`this`, two ids
+  /// and a shared_ptr, 40 B). With pointer alignment sizeof(Task) is 64.
+  static constexpr std::size_t kInlineSize = 56;
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   Task() noexcept = default;
 
@@ -56,8 +58,7 @@ class Task {
   /// True if a callable of type Fn would be stored inline (tests/bench).
   template <class Fn>
   static constexpr bool fits_inline() noexcept {
-    return sizeof(Fn) <= kInlineSize &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
 
@@ -121,9 +122,12 @@ class Task {
 
   const Ops* ops_ = nullptr;
   union {
-    alignas(std::max_align_t) std::byte buf_[kInlineSize];
+    alignas(kInlineAlign) std::byte buf_[kInlineSize];
     void* heap_;
   };
 };
+
+static_assert(sizeof(Task) == Task::kInlineSize + sizeof(void*),
+              "Task is its ops pointer plus the inline buffer (64 B on LP64)");
 
 }  // namespace hypersub::sim

@@ -117,6 +117,107 @@ TEST(ChordNode, ClosestPrecedingPicksGreatestProgress) {
   EXPECT_EQ(n.closest_preceding(5).id, 0u);
 }
 
+// The pre-index closest_preceding: a linear scan over the fingers, then the
+// successor list, keeping the first entry with strictly more clockwise
+// progress inside (id, target). The sorted lookup must match it exactly.
+NodeRef scan_closest_preceding(const ChordNode& n, Id target) {
+  NodeRef best = n.self();
+  Id best_dist = 0;
+  const auto consider = [&](const NodeRef& c) {
+    if (!c.valid() || c.id == n.id()) return;
+    if (!ring::in_open(c.id, n.id(), target)) return;
+    const Id d = ring::distance(n.id(), c.id);
+    if (d > best_dist) {
+      best_dist = d;
+      best = c;
+    }
+  };
+  for (int i = 0; i < kIdBits; ++i) consider(n.finger(i));
+  for (const auto& c : n.successor_list()) consider(c);
+  return best;
+}
+
+TEST(ChordNode, ClosestPrecedingMatchesLinearScanUnderChurn) {
+  Rng rng(2024);
+  for (int ring_no = 0; ring_no < 40; ++ring_no) {
+    // A small id pool makes repeats likely: the same id under two hosts
+    // (first-seen must win), fingers duplicating successors, and self.
+    std::vector<Id> pool = random_ids(6 + rng.index(40), rng);
+    const Id self_id = pool[rng.index(pool.size())];
+    ChordNode n(self_id, 0, 1 + rng.index(8));
+    const auto random_ref = [&] {
+      if (rng.index(10) == 0) return NodeRef{};
+      return NodeRef{pool[rng.index(pool.size())],
+                     net::HostIndex(1 + rng.index(3))};
+    };
+    const auto check = [&] {
+      std::vector<Id> targets = pool;
+      targets.push_back(self_id + 1);
+      targets.push_back(self_id - 1);
+      for (int i = 0; i < 20; ++i) targets.push_back(rng.next_u64());
+      for (const Id p : pool) targets.push_back(p + 1);
+      for (const Id t : targets) {
+        ASSERT_EQ(n.closest_preceding(t), scan_closest_preceding(n, t))
+            << "ring " << ring_no << " target " << t;
+      }
+    };
+    for (int i = 0; i < kIdBits; ++i) {
+      if (rng.index(2) == 0) n.set_finger(i, random_ref());
+    }
+    check();
+    for (int step = 0; step < 60; ++step) {
+      switch (rng.index(6)) {
+        case 0:
+        case 1:
+          n.set_finger(int(rng.index(kIdBits)), random_ref());
+          break;
+        case 2:
+          if (const NodeRef r = random_ref(); r.valid()) n.set_successor(r);
+          break;
+        case 3: {
+          std::vector<NodeRef> rest;
+          for (std::size_t i = rng.index(6); i > 0; --i) {
+            rest.push_back(random_ref());
+          }
+          if (const NodeRef r = random_ref(); r.valid()) {
+            n.adopt_successor_list(r, rest);
+          }
+          break;
+        }
+        case 4:
+          n.remove_peer(pool[rng.index(pool.size())]);
+          break;
+        default:
+          if (rng.index(8) == 0) n.reset_routing_state();
+          break;
+      }
+      check();
+    }
+  }
+}
+
+TEST(ChordNode, ClosestPrecedingMatchesLinearScanOnOracleRing) {
+  auto s = make_stack(200, /*pns=*/true, 7);
+  s.chord->oracle_build();
+  Rng rng(9);
+  const auto check_all = [&] {
+    for (net::HostIndex h = 0; h < 200; ++h) {
+      const ChordNode& nd = s.chord->node(h);
+      for (int i = 0; i < 30; ++i) {
+        const Id key = rng.next_u64();
+        ASSERT_EQ(nd.closest_preceding(key), scan_closest_preceding(nd, key));
+      }
+    }
+  };
+  check_all();
+  // Failure notices scrub a dead peer from every table that knew it.
+  for (int k = 0; k < 20; ++k) {
+    const Id dead = s.chord->node(rng.index(200)).id();
+    for (net::HostIndex h = 0; h < 200; ++h) s.chord->node(h).remove_peer(dead);
+  }
+  check_all();
+}
+
 TEST(ChordNode, NeighborsDedupes) {
   ChordNode n(100, 0, 4);
   n.adopt_successor_list(NodeRef{200, 1}, {NodeRef{300, 2}});

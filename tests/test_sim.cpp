@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "core/hypersub_system.hpp"
+#include "net/network.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
@@ -285,16 +294,121 @@ TEST(SimulatorParallel, DeferOrderedRunsInlineSequentially) {
   EXPECT_EQ(x, 1);
 }
 
+// --- EventQueue ------------------------------------------------------------
+
+TEST(EventQueue, RandomInterleavingPopsInWhenSeqOrderAndReusesSlots) {
+  Rng rng(17);
+  EventQueue q;
+  // Reference: the pending (when, seq) set; each action reports its seq.
+  std::set<std::pair<Time, std::uint64_t>> ref;
+  std::uint64_t seq = 0;
+  std::uint64_t ran = 0;
+  std::size_t peak = 0;
+  std::uint32_t max_slot = 0;
+  for (int round = 0; round < 200; ++round) {
+    // Bursts of pushes then pops, so the queue repeatedly grows, shrinks
+    // and regrows; few distinct timestamps force (when) ties.
+    for (std::size_t i = rng.index(60); i > 0; --i) {
+      const Time when = double(rng.index(25)) * 0.5;
+      const std::uint64_t s = seq++;
+      q.push(when, s, Shard(s % 7), [&ran, s] { ran = s; });
+      ref.emplace(when, s);
+      peak = std::max(peak, ref.size());
+    }
+    for (std::size_t i = rng.index(70); i > 0 && !q.empty(); --i) {
+      const auto expect = *ref.begin();
+      ref.erase(ref.begin());
+      const EventQueue::Key k = q.top();
+      ASSERT_EQ(k.when, expect.first);
+      ASSERT_EQ(k.seq, expect.second);
+      EXPECT_EQ(k.shard, Shard(k.seq % 7));
+      max_slot = std::max(max_slot, k.slot);
+      Task t = q.pop();
+      t();
+      ASSERT_EQ(ran, expect.second);
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  // Freed slots are reused: no slot index ever exceeds the peak backlog.
+  EXPECT_LT(std::size_t(max_slot), peak);
+}
+
+TEST(Simulator, RandomNestedSchedulingMatchesReferenceOrder) {
+  // Every event, when it runs, schedules 0-3 children at delays drawn from
+  // a small set (many same-time ties, including zero delay). The children
+  // an event spawns depend only on its own id, so a reference model over
+  // (when, id) — id being the scheduling order — predicts the exact
+  // execution order the engine must produce.
+  struct Child {
+    Time delay;
+  };
+  const auto children = [](std::uint64_t id) {
+    Rng r(1000 + id);
+    std::vector<Child> out(id < 3000 ? r.index(4) : 0);
+    for (auto& c : out) c.delay = double(r.index(4)) * 0.25;
+    return out;
+  };
+
+  std::vector<std::uint64_t> expected;
+  {
+    std::set<std::pair<Time, std::uint64_t>> pending;
+    std::uint64_t next = 0;
+    for (int i = 0; i < 40; ++i) pending.emplace(double(i % 5), next++);
+    while (!pending.empty()) {
+      const auto [when, id] = *pending.begin();
+      pending.erase(pending.begin());
+      expected.push_back(id);
+      for (const Child& c : children(id)) {
+        pending.emplace(when + c.delay, next++);
+      }
+    }
+  }
+
+  Simulator s;
+  std::vector<std::uint64_t> got;
+  std::uint64_t next = 0;
+  std::function<void(std::uint64_t)> run_event = [&](std::uint64_t id) {
+    got.push_back(id);
+    for (const Child& c : children(id)) {
+      const std::uint64_t child = next++;
+      s.schedule(c.delay, [&run_event, child] { run_event(child); });
+    }
+  };
+  for (int i = 0; i < 40; ++i) {
+    const std::uint64_t id = next++;
+    s.schedule_at(double(i % 5), [&run_event, id] { run_event(id); });
+  }
+  s.run();
+  EXPECT_GT(got.size(), 1000u);
+  EXPECT_EQ(got, expected);
+}
+
 // --- Task (SBO callable) ------------------------------------------------
 
 TEST(Task, SmallCapturesStayInline) {
   struct Small {
     void* a;
-    std::uint64_t b[4];
+    std::uint64_t b[6];
     void operator()() {}
   };
-  static_assert(sizeof(Small) <= Task::kInlineSize);
+  static_assert(sizeof(Small) == Task::kInlineSize);
   EXPECT_TRUE(Task::fits_inline<Small>());
+  EXPECT_EQ(sizeof(Task), 64u);
+}
+
+TEST(Task, NetworkFrameDeliveryStaysInline) {
+  // The action every fire-and-forget event message schedules: the
+  // network's liveness wrapper around the event-frame handler. If a capture
+  // change pushes it past the inline buffer, every message pays a heap
+  // allocation again — this must fail to compile first.
+  using Action = core::HyperSubSystem::FrameDeliveryAction;
+  static_assert(Task::fits_inline<Action>(),
+                "event-frame delivery closure spilled out of Task's buffer");
+  EXPECT_LE(sizeof(Action), Task::kInlineSize);
+  // A plain std::function handler (the shape of the remaining type-erased
+  // callers) also stays inline once wrapped.
+  EXPECT_TRUE(
+      Task::fits_inline<net::Network::Delivery<std::function<void()>>>());
 }
 
 TEST(Task, LargeCapturesSpillToHeapAndStillRun) {

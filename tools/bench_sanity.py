@@ -44,6 +44,16 @@ Subcommands:
       sequential run (defaults 2:1.3 4:2.0 8:3.0). On a 1-2 core CI box
       the floors are skipped; determinism is not.
 
+  golden COMMITTED.json FRESH.json
+      Re-derive a committed BENCH_sim.json's golden hashes: FRESH.json must
+      come from a micro_sim run at the committed config (same nodes, events
+      and lookahead — the default, non --quick, config), and every
+      committed thread count's snapshot_hash and executed_events must
+      match exactly. Any behaviour change in the engine or the stack above
+      it moves the hash, so this fails loudly instead of letting the
+      committed number go stale. Kept apart from `sim`, whose speedup
+      floors fail on multi-core hosts for unrelated reasons.
+
   trace FRESH.json [--max-overhead F]
       Validate the tracing-overhead contract from the same micro_route
       json (self-relative — both sides of the comparison ran interleaved
@@ -377,6 +387,51 @@ def cmd_sim(args):
 
 
 # ---------------------------------------------------------------------------
+# golden: committed micro_sim hashes re-derived at the committed config
+# ---------------------------------------------------------------------------
+
+GOLDEN_CONFIG_KEYS = ("nodes", "events", "lookahead_ms")
+
+
+def cmd_golden(args):
+    committed = load_json(args.committed)
+    fresh = load_json(args.fresh)
+    failures = []
+    for key in GOLDEN_CONFIG_KEYS:
+        if committed.get(key) != fresh.get(key):
+            failures.append(f"config {key}: committed {committed.get(key)} "
+                            f"vs fresh {fresh.get(key)} (rerun micro_sim "
+                            f"at the committed config)")
+    fresh_runs = {r["threads"]: r for r in fresh.get("runs", [])}
+    committed_runs = committed.get("runs", [])
+    if not committed_runs:
+        failures.append(f"{args.committed} has no runs")
+    print(f"golden micro_sim ({committed.get('nodes')} nodes, "
+          f"{committed.get('events')} events, lookahead "
+          f"{committed.get('lookahead_ms')} ms):")
+    for run in committed_runs:
+        t = run["threads"]
+        got = fresh_runs.get(t)
+        if got is None:
+            failures.append(f"threads={t}: no fresh run")
+            continue
+        ok = (got["snapshot_hash"] == run["snapshot_hash"] and
+              got["executed_events"] == run["executed_events"])
+        print(f"  threads={t}: hash {got['snapshot_hash']} "
+              f"events {got['executed_events']} "
+              f"(committed {run['snapshot_hash']} "
+              f"events {run['executed_events']}) {'ok' if ok else 'FAIL'}")
+        if not ok:
+            failures.append(f"threads={t}: golden hash/events drifted")
+    for msg in failures:
+        print(f"FAIL: {msg}")
+    if failures:
+        return 1
+    print("OK")
+    return 0
+
+
+# ---------------------------------------------------------------------------
 # cover: subscription aggregation must shrink state + subid transport
 # without touching a single delivery
 # ---------------------------------------------------------------------------
@@ -549,6 +604,12 @@ def main():
                         "(defaults 2:1.3 4:2.0 8:3.0; enforced only when "
                         "the host has >= THREADS cores)")
     s.set_defaults(fn=cmd_sim)
+
+    g = sub.add_parser("golden",
+                       help="committed micro_sim hashes re-derived")
+    g.add_argument("committed", help="committed BENCH_sim.json")
+    g.add_argument("fresh", help="micro_sim json at the committed config")
+    g.set_defaults(fn=cmd_golden)
 
     t = sub.add_parser("trace", help="tracing overhead + usefulness gate")
     t.add_argument("fresh", help="freshly produced BENCH_route.json")
