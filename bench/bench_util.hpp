@@ -65,15 +65,6 @@ struct Scale {
   /// instead of ignoring the override.
   bool nodes_set = false;
   bool subs_per_node_set = false;
-  /// --threads=N: run each simulation on N engine worker threads (sharded
-  /// parallel execution; results are byte-identical to sequential). A
-  /// value > 1 implies a nonzero lookahead — the window width the engine
-  /// parallelizes within.
-  unsigned sim_threads = 1;
-  double lookahead_ms = 0.0;
-  /// --adaptive-lookahead: derive the window width from the minimum live
-  /// link latency instead of a fixed lookahead (same results either way).
-  bool adaptive_lookahead = false;
   /// --fast-setup: install subscriptions through the oracle bulk path
   /// (equivalent zone contents, no simulated install storm) — the knob
   /// that makes 100k+ subscription runs practical.
@@ -94,19 +85,12 @@ inline Scale parse_scale(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--subs-per-node=", 16) == 0) {
       s.subs_per_node = std::size_t(std::atoll(argv[i] + 16));
       s.subs_per_node_set = true;
-    } else if (std::strcmp(argv[i], "--adaptive-lookahead") == 0) {
-      s.adaptive_lookahead = true;
     } else if (std::strcmp(argv[i], "--fast-setup") == 0) {
       s.fast_setup = true;
     } else if (std::strncmp(argv[i], "--setup-threads=", 16) == 0) {
       s.setup_threads = unsigned(std::atoi(argv[i] + 16));
     } else if (std::strncmp(argv[i], "--events=", 9) == 0) {
       s.events = std::size_t(std::atoll(argv[i] + 9));
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      s.sim_threads = unsigned(std::atoi(argv[i] + 10));
-      if (s.sim_threads > 1 && s.lookahead_ms == 0.0) s.lookahead_ms = 5.0;
-    } else if (std::strncmp(argv[i], "--lookahead=", 12) == 0) {
-      s.lookahead_ms = std::atof(argv[i] + 12);
     }
   }
   return s;
@@ -117,9 +101,6 @@ inline runner::ExperimentConfig base_config(const Scale& s) {
   cfg.nodes = s.nodes;
   cfg.events = s.events;
   cfg.subs_per_node = s.subs_per_node;
-  cfg.sim_threads = s.sim_threads;
-  cfg.lookahead_ms = s.lookahead_ms;
-  cfg.adaptive_lookahead = s.adaptive_lookahead;
   cfg.fast_setup = s.fast_setup;
   cfg.setup_threads = s.setup_threads;
   return cfg;

@@ -22,12 +22,6 @@
 // largest point's value is a true per-point peak. The gated quick run has
 // exactly one point for this reason.
 //
-// --check-determinism re-runs the gated 100k point — sequential and then
-// threads 2, 4, 8, all under the adaptive lookahead floor and work-stealing
-// windows — and fails (exit 1) unless the metrics snapshot JSON and the
-// sampled span logs are byte-identical. It runs after the measured sweep
-// so it cannot disturb the recorded per-point peak RSS.
-//
 // Each point also records the zone-tree memory breakdown (materialized
 // zones, compressed-chain records, key indexes) separately from
 // subscription storage; --mem-breakdown prints it, --no-compress disables
@@ -44,7 +38,6 @@
 #include "core/hypersub_system.hpp"
 #include "metrics/snapshot.hpp"
 #include "net/topology.hpp"
-#include "trace/tracer.hpp"
 #include "workload/zipf_workload.hpp"
 
 namespace {
@@ -70,7 +63,6 @@ struct PointResult {
   std::size_t nodes = 0;
   std::size_t subs_per_node = 0;
   std::size_t subs = 0;
-  unsigned threads = 1;
   bool legacy = false;
   double setup_seconds = 0.0;
   std::size_t peak_rss_bytes = 0;
@@ -89,20 +81,14 @@ struct PointResult {
   double events_per_sec = 0.0;
   std::uint64_t deliveries = 0;
   std::uint64_t snapshot_hash = 0;
-  std::string snapshot_json;  // kept only for the determinism check
 };
 
 struct RunOpts {
   std::size_t events = 2000;
   double mean_interarrival_ms = 0.5;
-  double lookahead_ms = 5.0;
-  unsigned threads = 1;
   unsigned setup_threads = 1;
   bool legacy = false;     ///< simulated install cascade (pre-arena path)
   bool compress = true;    ///< path-compressed structural zone chains
-  bool adaptive = false;   ///< lookahead floor from min live link latency
-  trace::Tracer* tracer = nullptr;
-  double trace_sample_rate = 1.0;
 };
 
 PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
@@ -113,10 +99,7 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   tp.seed = 11;
   net::KingLikeTopology topo(tp);
   sim::Simulator sim;
-  sim.set_threads(o.threads);
-  sim.set_lookahead(o.lookahead_ms);
   net::Network net(sim, topo);
-  if (o.adaptive) net.enable_adaptive_lookahead();
   chord::ChordNet::Params cp;
   cp.seed = 11;
   chord::ChordNet chord(net, cp);
@@ -125,11 +108,9 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   sc.build_threads = o.setup_threads;
   sc.stream_event_metrics = !o.legacy;  // big runs never materialize records
   sc.compress_zone_chains = o.compress;
-  sc.trace_sample_rate = o.trace_sample_rate;
   core::HyperSubSystem sys(chord, sc);
   core::CountingDeliverySink sink;
   sys.set_delivery_sink(sink);
-  if (o.tracer) sys.set_tracer(o.tracer);
 
   workload::WorkloadGenerator gen(workload::table1_spec(), 23);
   core::SchemeOptions so;
@@ -167,7 +148,6 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
     mb.sub_bytes += b.sub_bytes;
   }
   sys.reset_metrics();
-  if (o.tracer) o.tracer->reset();
 
   Rng rng(29);
   double t = 0.0;
@@ -188,7 +168,6 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.nodes = nodes;
   r.subs_per_node = subs_per_node;
   r.subs = nodes * subs_per_node;
-  r.threads = o.threads;
   r.legacy = o.legacy;
   r.setup_seconds = secs_between(t0, t1);
   r.peak_rss_bytes = bench::peak_rss_bytes();
@@ -203,18 +182,17 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.executed = sim.executed() - before;
   r.events_per_sec = double(r.executed) / secs_between(t2, t3);
   r.deliveries = sink.count();
-  r.snapshot_json = metrics::snapshot(sys).to_json();
   r.snapshot_hash = fnv1a(std::to_string(sink.count()),
-                          fnv1a(r.snapshot_json));
+                          fnv1a(metrics::snapshot(sys).to_json()));
   return r;
 }
 
 void print_point(const char* tag, const PointResult& r) {
   std::printf(
-      "[micro_scale] %s %zu nodes x %zu subs (%zu total, threads=%u, %s): "
+      "[micro_scale] %s %zu nodes x %zu subs (%zu total, %s): "
       "setup %.2f s, peak RSS %.1f MiB, %.0f events/sec, "
       "%llu deliveries, hash %016llx\n",
-      tag, r.nodes, r.subs_per_node, r.subs, r.threads,
+      tag, r.nodes, r.subs_per_node, r.subs,
       r.legacy ? "legacy" : "fast", r.setup_seconds,
       double(r.peak_rss_bytes) / (1024.0 * 1024.0), r.events_per_sec,
       (unsigned long long)r.deliveries, (unsigned long long)r.snapshot_hash);
@@ -232,78 +210,6 @@ void print_mem_breakdown(const PointResult& r) {
       double(r.zone_index_bytes) / mib, double(r.sub_bytes) / mib);
 }
 
-/// The scale-point leg of the parallel-determinism suite: the gated 100k
-/// point, sequential vs each of threads {2, 4, 8}, adaptive lookahead +
-/// work-stealing, byte-compared on the metrics snapshot JSON and the
-/// sampled span log.
-bool check_determinism_at_scale(std::size_t events, bool compress) {
-  std::printf("[micro_scale] determinism check @ 100k subs"
-              " (adaptive lookahead, threads 1 vs {2,4,8}, compress=%s)...\n",
-              compress ? "on" : "off");
-  RunOpts o;
-  o.events = events;
-  o.lookahead_ms = 0.0;  // the adaptive floor is what admits parallelism
-  o.adaptive = true;
-  o.compress = compress;
-  o.trace_sample_rate = 0.05;
-  trace::Tracer seq_tracer;
-  o.threads = 1;
-  o.tracer = &seq_tracer;
-  const PointResult seq = run_point(2000, 50, o);
-
-  bool all_ok = true;
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    trace::Tracer par_tracer;
-    o.threads = threads;
-    o.tracer = &par_tracer;
-    const PointResult par = run_point(2000, 50, o);
-
-    bool ok = true;
-    if (seq.snapshot_json != par.snapshot_json) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: snapshot JSON diverges"
-                   " (hash %016llx vs %016llx)\n",
-                   threads, (unsigned long long)seq.snapshot_hash,
-                   (unsigned long long)par.snapshot_hash);
-      ok = false;
-    }
-    if (seq.deliveries != par.deliveries) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: deliveries %llu vs %llu\n",
-                   threads, (unsigned long long)seq.deliveries,
-                   (unsigned long long)par.deliveries);
-      ok = false;
-    }
-    const auto& a = seq_tracer.spans();
-    const auto& b = par_tracer.spans();
-    if (a.size() != b.size()) {
-      std::fprintf(stderr,
-                   "[micro_scale] FAIL @ threads=%u: span count %zu vs %zu\n",
-                   threads, a.size(), b.size());
-      ok = false;
-    } else {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!(a[i] == b[i])) {
-          std::fprintf(
-              stderr,
-              "[micro_scale] FAIL @ threads=%u: span log diverges at %zu\n",
-              threads, i);
-          ok = false;
-          break;
-        }
-      }
-    }
-    if (ok) {
-      std::printf("[micro_scale] threads=%u byte-identical:"
-                  " %zu spans, %llu deliveries, hash %016llx\n",
-                  threads, a.size(), (unsigned long long)seq.deliveries,
-                  (unsigned long long)seq.snapshot_hash);
-    }
-    all_ok = all_ok && ok;
-  }
-  return all_ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -314,7 +220,6 @@ int main(int argc, char** argv) {
   RunOpts opts;
   std::string json_path = "BENCH_scale.json";
   bool quick = false;
-  bool check_determinism = false;
   bool mem_breakdown = false;
   std::size_t nodes_override = 0, spn_override = 0;
   for (int i = 1; i < argc; ++i) {
@@ -330,8 +235,6 @@ int main(int argc, char** argv) {
       opts.compress = false;
     } else if (std::strcmp(argv[i], "--mem-breakdown") == 0) {
       mem_breakdown = true;
-    } else if (std::strcmp(argv[i], "--check-determinism") == 0) {
-      check_determinism = true;
     } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
       nodes_override = std::size_t(std::atoll(argv[i] + 8));
     } else if (std::strncmp(argv[i], "--subs-per-node=", 16) == 0) {
@@ -372,7 +275,7 @@ int main(int argc, char** argv) {
     const PointResult& r = results[i];
     std::fprintf(f,
                  "  {\"nodes\": %zu, \"subs_per_node\": %zu, \"subs\": %zu, "
-                 "\"threads\": %u, \"setup_seconds\": %.3f, "
+                 "\"setup_seconds\": %.3f, "
                  "\"peak_rss_bytes\": %zu, "
                  "\"materialized_zones\": %zu, \"chain_records\": %zu, "
                  "\"implicit_zones\": %zu, "
@@ -381,7 +284,7 @@ int main(int argc, char** argv) {
                  "\"zone_tree_bytes\": %zu, \"sub_bytes\": %zu, "
                  "\"events_per_sec\": %.0f, "
                  "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\"}%s\n",
-                 r.nodes, r.subs_per_node, r.subs, r.threads, r.setup_seconds,
+                 r.nodes, r.subs_per_node, r.subs, r.setup_seconds,
                  r.peak_rss_bytes, r.materialized_zones, r.chain_records,
                  r.implicit_zones, r.zone_materialized_bytes,
                  r.zone_chain_bytes, r.zone_index_bytes, r.zone_tree_bytes,
@@ -393,10 +296,5 @@ int main(int argc, char** argv) {
   std::fprintf(f, " ]\n}\n");
   std::fclose(f);
   std::printf("[micro_scale] wrote %s\n", json_path.c_str());
-
-  if (check_determinism &&
-      !check_determinism_at_scale(opts.events, opts.compress)) {
-    return 1;
-  }
   return 0;
 }

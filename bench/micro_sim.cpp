@@ -1,6 +1,5 @@
 // Micro-benchmark: the discrete-event engine itself — scheduling overhead
-// and parallel-execution throughput bound every simulated experiment's
-// wall-clock cost.
+// and event throughput bound every simulated experiment's wall-clock cost.
 //
 // Two measurements, both written to BENCH_sim.json (override with
 // --json=PATH) so successive PRs can track the engine trajectory:
@@ -14,14 +13,10 @@
 //     plus the engine-level ns/event. The json records that action's real
 //     size and whether it fits inline.
 //
-//  2. Parallel throughput: a fig5-style pub/sub workload (full stack,
-//     every node subscribing, dense event feed) executed with the same
-//     lookahead at 1/2/4/8 worker threads. Events/sec is wall-clock
-//     throughput of the measured phase; a hash over the metrics snapshot
-//     and delivery count verifies every thread count produced the
-//     byte-identical result (the engine's whole contract). Speedups are
-//     only meaningful when the host has the cores — the json records
-//     hardware_concurrency so the CI gate can tell.
+//  2. Throughput: a fig5-style pub/sub workload (full stack, every node
+//     subscribing, dense event feed). Events/sec is wall-clock throughput
+//     of the measured phase; a hash over the metrics snapshot and delivery
+//     count is the golden value tools/bench_sanity.py re-derives in CI.
 //
 // --quick shrinks the run for CI; --full runs the 10k-node scale.
 
@@ -30,8 +25,6 @@
 #include <cstring>
 #include <functional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "chord/chord_net.hpp"
@@ -55,9 +48,7 @@ struct Params {
   std::size_t nodes = 400;
   std::size_t subs_per_node = 5;
   std::size_t events = 2000;
-  double mean_interarrival_ms = 0.5;  ///< dense feed: keeps windows full
-  double lookahead_ms = 5.0;
-  std::vector<unsigned> threads{1, 2, 4, 8};
+  double mean_interarrival_ms = 0.5;  ///< dense feed: deep event queue
 };
 
 // --- 1. Task SBO --------------------------------------------------------
@@ -98,10 +89,9 @@ double engine_ns_per_event(std::size_t n, std::uint64_t& sink) {
   return ns_between(t0, Clock::now()) / double(n);
 }
 
-// --- 2. parallel throughput --------------------------------------------
+// --- 2. throughput -------------------------------------------------------
 
 struct RunResult {
-  unsigned threads = 1;
   std::uint64_t executed = 0;
   double wall_ms = 0.0;
   double events_per_sec = 0.0;
@@ -116,14 +106,12 @@ std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 1469598103934665603u
   return h;
 }
 
-RunResult run_workload(const Params& p, unsigned threads) {
+RunResult run_workload(const Params& p) {
   net::KingLikeTopology::Params tp;
   tp.hosts = p.nodes;
   tp.seed = 11;
   net::KingLikeTopology topo(tp);
   sim::Simulator sim;
-  sim.set_threads(threads);
-  sim.set_lookahead(p.lookahead_ms);
   net::Network net(sim, topo);
   chord::ChordNet::Params cp;
   cp.seed = 11;
@@ -162,7 +150,6 @@ RunResult run_workload(const Params& p, unsigned threads) {
   sys.finalize_events();
 
   RunResult r;
-  r.threads = threads;
   r.executed = sim.executed() - before;
   r.wall_ms = wall_ns / 1e6;
   r.events_per_sec = double(r.executed) / (wall_ns / 1e9);
@@ -206,23 +193,12 @@ int main(int argc, char** argv) {
               ns_task, ns_function, ns_function / ns_task, ns_engine,
               fits ? "yes" : "no");
 
-  // --- parallel throughput ---
-  std::vector<RunResult> runs;
-  for (const unsigned threads : p.threads) {
-    runs.push_back(run_workload(p, threads));
-    const RunResult& r = runs.back();
-    std::printf("[micro_sim] threads=%u: %.0f events/sec "
-                "(%llu events, %.1f ms, hash %016llx)\n",
-                r.threads, r.events_per_sec,
-                (unsigned long long)r.executed, r.wall_ms,
-                (unsigned long long)r.snapshot_hash);
-  }
-  bool deterministic = true;
-  for (const RunResult& r : runs) {
-    deterministic = deterministic && r.snapshot_hash == runs[0].snapshot_hash;
-  }
-  std::printf("[micro_sim] deterministic across thread counts: %s\n",
-              deterministic ? "yes" : "NO — engine bug");
+  // --- throughput ---
+  const RunResult r = run_workload(p);
+  std::printf("[micro_sim] %.0f events/sec (%llu events, %.1f ms, "
+              "hash %016llx)\n",
+              r.events_per_sec, (unsigned long long)r.executed, r.wall_ms,
+              (unsigned long long)r.snapshot_hash);
 
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (!f) {
@@ -232,7 +208,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n \"bench\": \"micro_sim\",\n");
   hypersub::bench::write_host_json(f);
   std::fprintf(f, " \"nodes\": %zu,\n \"events\": %zu,\n", p.nodes, p.events);
-  std::fprintf(f, " \"lookahead_ms\": %.3f,\n", p.lookahead_ms);
   std::fprintf(f,
                " \"task_sbo\": {\n"
                "  \"ns_per_op_task\": %.2f,\n"
@@ -245,21 +220,13 @@ int main(int argc, char** argv) {
                ns_task, ns_function, ns_function / ns_task, ns_engine,
                sizeof(FrameAction), sim::Task::kInlineSize,
                fits ? "true" : "false");
-  std::fprintf(f, " \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    std::fprintf(f,
-                 "  {\"threads\": %u, \"events_per_sec\": %.0f, "
-                 "\"executed_events\": %llu, \"wall_ms\": %.2f, "
-                 "\"snapshot_hash\": \"%016llx\"}%s\n",
-                 r.threads, r.events_per_sec,
-                 (unsigned long long)r.executed, r.wall_ms,
-                 (unsigned long long)r.snapshot_hash,
-                 i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, " ],\n \"deterministic\": %s\n}\n",
-               deterministic ? "true" : "false");
+  std::fprintf(f,
+               " \"run\": {\"events_per_sec\": %.0f, "
+               "\"executed_events\": %llu, \"wall_ms\": %.2f, "
+               "\"snapshot_hash\": \"%016llx\"}\n}\n",
+               r.events_per_sec, (unsigned long long)r.executed, r.wall_ms,
+               (unsigned long long)r.snapshot_hash);
   std::fclose(f);
   std::printf("[micro_sim] wrote %s\n", json_path.c_str());
-  return deterministic ? 0 : 1;
+  return 0;
 }

@@ -233,7 +233,7 @@ void ChordNet::route_step(net::HostIndex at, Id key,
     return;
   }
   if (hops >= params_.max_route_hops) {
-    net_.simulator().defer_ordered([this] { ++route_drops_; });
+    ++route_drops_;
     return;
   }
   // Final hop: key lies between us and our successor.
@@ -246,9 +246,7 @@ void ChordNet::route_step(net::HostIndex at, Id key,
     if (!next.valid() || next.id == nd.id()) next = succ;
   }
   if (!next.valid()) {  // isolated node: drop
-    if (params_.reliable_routing) {
-      net_.simulator().defer_ordered([this] { ++route_drops_; });
-    }
+    if (params_.reliable_routing) ++route_drops_;
     return;
   }
   // One route-hop span per forwarded lookup message: opened at the sender,
@@ -311,10 +309,10 @@ void ChordNet::send_route_hop(net::HostIndex at, NodeRef next, Id key,
         note_peer_failure(at, to);
         const NodeRef retry = next_hop(at, key);
         if (!retry.valid() || retry.host == to) {
-          net_.simulator().defer_ordered([this] { ++route_drops_; });
+          ++route_drops_;
           return;
         }
-        net_.simulator().defer_ordered([this] { ++route_reroutes_; });
+        ++route_reroutes_;
         // The detour is a fresh hop span under the expired one (the
         // channel already recorded the expire span there).
         if (auto* tr = trace::maybe(tracer_); tr && tctx.active()) {
@@ -387,9 +385,7 @@ void ChordNet::get_state(
       ok(pred, slist);
     });
   });
-  // The timeout runs on the requester's shard: both `done` and the fail
-  // path mutate `from`-side state, and the reply handler that races this
-  // timer also runs there.
+  // The timeout runs on the requester's shard.
   net_.simulator().schedule_on(from, params_.rpc_timeout_ms,
                                [done, fail = std::move(fail)] {
                                  if (*done) return;
@@ -409,9 +405,8 @@ void ChordNet::start_maintenance() {
 
 void ChordNet::schedule_tick(net::HostIndex h, double delay) {
   maintaining_[h] = true;
-  // Maintenance ticks are pinned to the exclusive (no-shard) context: one
-  // tick touches many nodes' state (probes, shared ping counters), so the
-  // parallel engine runs it alone between windows.
+  // Maintenance ticks run in the exclusive (no-shard) context: one tick
+  // touches many nodes' state (probes, shared ping counters).
   net_.simulator().schedule_on(sim::kNoShard, delay, [this, h] {
     if (maintenance_stopped_ || !net_.alive(h)) {
       maintaining_[h] = false;
@@ -473,14 +468,12 @@ void ChordNet::fix_next_finger(net::HostIndex h) {
   const Id start = ring::finger_start(nd.id(), i);
   route(h, start, 0, [this, h, i, start](const RouteResult& r) {
     // This callback runs at the key's owner, not at h; every write to h's
-    // finger table is shipped back to h's shard (a remote apply delayed by
-    // the effective lookahead, identical in both modes).
+    // finger table is applied as an event on h's shard.
     if (!net_.alive(h)) return;
     if (!params_.pns) {
-      net_.simulator().schedule_on(
-          h, net_.simulator().effective_lookahead(), [this, h, i, owner = r.owner] {
-            if (net_.alive(h)) nodes_[h]->set_finger(i, owner);
-          });
+      net_.simulator().schedule_on(h, 0.0, [this, h, i, owner = r.owner] {
+        if (net_.alive(h)) nodes_[h]->set_finger(i, owner);
+      });
       return;
     }
     // PNS refinement: fetch the owner's successor list and keep the
@@ -553,7 +546,7 @@ bool ChordNet::join(net::HostIndex host, net::HostIndex bootstrap,
         [this, host, on_joined = std::move(on_joined)](const RouteResult& r) {
           // Runs at the owner; apply the join result on the joiner's shard.
           net_.simulator().schedule_on(
-              host, net_.simulator().effective_lookahead(),
+              host, 0.0,
               [this, host, owner = r.owner,
                on_joined = std::move(on_joined)] {
                 if (!net_.alive(host)) return;

@@ -7,9 +7,7 @@
 // pointers of bucket/next overhead per entry on top of the payload. This
 // map stores keys, values and a one-byte occupancy flag in three flat
 // arrays — no per-entry allocation, cache-friendly probes, and a
-// deterministic layout given the insertion/erase sequence (which the
-// parallel-determinism contract relies on: all mutations happen on the
-// owning node's shard in deterministic order).
+// deterministic layout given the insertion/erase sequence.
 //
 // Requirements: K trivially copyable + equality-comparable, V movable and
 // default-constructible. Erase uses backward shifting, so iteration order

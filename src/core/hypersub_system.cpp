@@ -37,13 +37,9 @@ HyperSubSystem::HyperSubSystem(overlay::Overlay& dht, Config cfg)
     // failure repair, oracle rebuild), cached resolutions pointing at it
     // may now land on a non-owner. Stale hits would still self-repair via
     // forward-and-correct; invalidating eagerly keeps the detour window
-    // small and the hit counters honest. The listener can fire on any
-    // shard; route caches are global structures, so the sweep is deferred
-    // to the barrier (inline in sequential mode).
+    // small and the hit counters honest.
     dht_.set_ownership_listener([this](net::HostIndex h) {
-      simulator().defer_ordered([this, h] {
-        for (auto& c : caches_) c->invalidate_host(h);
-      });
+      for (auto& c : caches_) c->invalidate_host(h);
     });
     owns_ownership_listener_ = true;
   }
@@ -281,10 +277,9 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
 
   // Phase A — subscriber-side bookkeeping + zone planning, sharded by
   // subscriber host: iid allocation and the local store are per-host
-  // state, and everything else read here (scheme runtime, LPH, zone-key
-  // memoization) is immutable or internally synchronized. Each host's
-  // subscriptions are planned in batch order, so iids match what a
-  // sequential subscribe() loop would assign.
+  // state, and everything else read here (scheme runtime, LPH) is
+  // immutable. Each host's subscriptions are planned in batch order, so
+  // iids match what a sequential subscribe() loop would assign.
   for_host_ranges(threads, nodes_.size(), [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = 0; i < subs.size(); ++i) {
       const net::HostIndex sh = subs[i].subscriber;
@@ -343,8 +338,7 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
     }
   });
 
-  // Phase C — one sequential top-down piece fixpoint per subscheme
-  // (skipped under ancestor probing, exactly like the routed path). A
+  // Phase C — one sequential top-down piece fixpoint per subscheme. A
   // summary piece only flows parent -> child, and a zone's outgoing pieces
   // depend on its parent piece, so processing pending zones by ascending
   // level reaches the same fixpoint the drained install cascade converges
@@ -355,176 +349,174 @@ std::vector<SubscriptionHandle> HyperSubSystem::bulk_subscribe(
   // queue is one plain vector per level, deduped by sort+unique at batch
   // start; zone keys are computed directly (lph::zone_key) and carried in
   // the queue entries rather than going through the Subscheme's memoized
-  // key cache, which would grow by one mutex-guarded map entry per zone.
-  if (!cfg_.ancestor_probing) {
-    const bool comp = compress_enabled();
-    struct PendingZone {
-      std::uint32_t ssi = 0;
-      Id code = 0;
-      Id key = 0;  // rotated zone key (a pure function of ssi + zone)
-    };
-    int max_level = 0;
-    for (std::uint32_t ssi = 0; ssi < rt.subscheme_count(); ++ssi) {
-      max_level = std::max(max_level, rt.subscheme(ssi).zones().max_level());
-    }
-    std::vector<std::vector<PendingZone>> pending(std::size_t(max_level) + 1);
-    for (const Planned& p : plan) {
-      pending[std::size_t(p.zone.level)].push_back({p.ssi, p.zone.code, p.key});
-    }
-    // The cascade only appends below the current level; the planning and
-    // input buffers are dead weight from here on, so release them before
-    // the tree-sized allocation wave defines peak RSS.
-    plan = {};
-    subs = {};
-    for (int level = 0; level <= max_level; ++level) {
-      auto& batch = pending[std::size_t(level)];
-      std::sort(batch.begin(), batch.end(),
-                [](const PendingZone& a, const PendingZone& b) {
-                  return a.ssi != b.ssi ? a.ssi < b.ssi : a.code < b.code;
-                });
-      batch.erase(std::unique(batch.begin(), batch.end(),
-                              [](const PendingZone& a, const PendingZone& b) {
-                                return a.ssi == b.ssi && a.code == b.code;
-                              }),
-                  batch.end());
-      for (const PendingZone& pz : batch) {
-        const Subscheme& ss = rt.subscheme(pz.ssi);
-        const lph::ZoneSystem& zsys = ss.zones();
-        const int bb = zsys.base_bits();
-        const lph::Zone zone{pz.code, level};
-        if (zsys.is_leaf(zone)) continue;
-        const net::HostIndex host =
-            ring[bulk_owner_index(ring_ids, pz.key)].host;
-        const ZoneAddr addr{scheme, pz.ssi, zone};
-        HyperSubNode& nd = *nodes_[host];
-        const auto zit = nd.zones().find(addr);
-        ZoneState* zs = zit == nd.zones().end() ? nullptr : &zit->second;
-        // Under compression a pending structural zone lives in a chain
-        // created or extended earlier in this pass; its summary is the
-        // derived rect, and — because a zone is enqueued exactly when it
-        // first gets a piece, before its own children are visited — it is
-        // that chain's tail. (An interior member's children already carry
-        // their derived state; nothing to do.)
-        std::uint32_t cid = ZoneChainSet::kNone;
-        HyperRect summary;
-        if (zs != nullptr) {
-          summary = zs->summary();
-        } else {
-          if (!comp) continue;
-          cid = nd.chains().find_containing(scheme, pz.ssi, zone, pz.key, bb);
-          if (cid == ZoneChainSet::kNone) continue;
-          const CompressedChain& c = nd.chains().get(cid);
-          if (!(c.tail == zone)) continue;
-          const HyperRect ext = zsys.extent(zone);
-          if (c.piece.overlaps(ext)) summary = c.piece.intersect(ext);
-        }
-        // A chain may only grow through a sole non-empty child piece.
-        int nonempty_children = 0;
-        if (cid != ZoneChainSet::kNone && !summary.empty()) {
-          for (int digit = 0; digit < zsys.base(); ++digit) {
-            if (summary.overlaps(zsys.extent(zsys.child(zone, digit))))
-              ++nonempty_children;
-          }
-        }
+  // key cache, which would grow by one map entry per zone.
+  const bool comp = compress_enabled();
+  struct PendingZone {
+    std::uint32_t ssi = 0;
+    Id code = 0;
+    Id key = 0;  // rotated zone key (a pure function of ssi + zone)
+  };
+  int max_level = 0;
+  for (std::uint32_t ssi = 0; ssi < rt.subscheme_count(); ++ssi) {
+    max_level = std::max(max_level, rt.subscheme(ssi).zones().max_level());
+  }
+  std::vector<std::vector<PendingZone>> pending(std::size_t(max_level) + 1);
+  for (const Planned& p : plan) {
+    pending[std::size_t(p.zone.level)].push_back({p.ssi, p.zone.code, p.key});
+  }
+  // The cascade only appends below the current level; the planning and
+  // input buffers are dead weight from here on, so release them before
+  // the tree-sized allocation wave defines peak RSS.
+  plan = {};
+  subs = {};
+  for (int level = 0; level <= max_level; ++level) {
+    auto& batch = pending[std::size_t(level)];
+    std::sort(batch.begin(), batch.end(),
+              [](const PendingZone& a, const PendingZone& b) {
+                return a.ssi != b.ssi ? a.ssi < b.ssi : a.code < b.code;
+              });
+    batch.erase(std::unique(batch.begin(), batch.end(),
+                            [](const PendingZone& a, const PendingZone& b) {
+                              return a.ssi == b.ssi && a.code == b.code;
+                            }),
+                batch.end());
+    for (const PendingZone& pz : batch) {
+      const Subscheme& ss = rt.subscheme(pz.ssi);
+      const lph::ZoneSystem& zsys = ss.zones();
+      const int bb = zsys.base_bits();
+      const lph::Zone zone{pz.code, level};
+      if (zsys.is_leaf(zone)) continue;
+      const net::HostIndex host =
+          ring[bulk_owner_index(ring_ids, pz.key)].host;
+      const ZoneAddr addr{scheme, pz.ssi, zone};
+      HyperSubNode& nd = *nodes_[host];
+      const auto zit = nd.zones().find(addr);
+      ZoneState* zs = zit == nd.zones().end() ? nullptr : &zit->second;
+      // Under compression a pending structural zone lives in a chain
+      // created or extended earlier in this pass; its summary is the
+      // derived rect, and — because a zone is enqueued exactly when it
+      // first gets a piece, before its own children are visited — it is
+      // that chain's tail. (An interior member's children already carry
+      // their derived state; nothing to do.)
+      std::uint32_t cid = ZoneChainSet::kNone;
+      HyperRect summary;
+      if (zs != nullptr) {
+        summary = zs->summary();
+      } else {
+        if (!comp) continue;
+        cid = nd.chains().find_containing(scheme, pz.ssi, zone, pz.key, bb);
+        if (cid == ZoneChainSet::kNone) continue;
+        const CompressedChain& c = nd.chains().get(cid);
+        if (!(c.tail == zone)) continue;
+        const HyperRect ext = zsys.extent(zone);
+        if (c.piece.overlaps(ext)) summary = c.piece.intersect(ext);
+      }
+      // A chain may only grow through a sole non-empty child piece.
+      int nonempty_children = 0;
+      if (cid != ZoneChainSet::kNone && !summary.empty()) {
         for (int digit = 0; digit < zsys.base(); ++digit) {
-          const lph::Zone child = zsys.child(zone, digit);
-          HyperRect piece;
-          if (!summary.empty()) {
-            const HyperRect ext = zsys.extent(child);
-            if (summary.overlaps(ext)) piece = summary.intersect(ext);
-          }
-          if (zs != nullptr) {
-            if (piece == zs->child_piece(digit)) continue;
-            zs->set_child_piece(digit, piece);
-          } else if (piece.empty()) {
-            continue;  // chained parent: no implicit state below this edge
-          }
-          const ZoneAddr child_addr{scheme, pz.ssi, child};
-          const Id child_key = lph::zone_key(zsys, child, ss.rotation());
-          const net::HostIndex child_host =
-              ring[bulk_owner_index(ring_ids, child_key)].host;
-          if (cfg_.replicas > 0) {
-            for (const auto& peer :
-                 dht_.replica_set(child_host, cfg_.replicas)) {
-              nodes_[peer.host]
-                  ->replica_zone_state(child_addr, child_key)
-                  .set_parent_piece(piece, pz.key);
-            }
-          }
-          if (!comp) {
-            ZoneState& czs =
-                nodes_[child_host]->zone_state(child_addr, child_key);
-            if (czs.set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          // Compression: apply at the child without materializing husks.
-          // The cascade from an empty tree only ever grows pieces, so a
-          // child with no state and an empty piece needs nothing.
-          HyperSubNode& cnd = *nodes_[child_host];
-          if (const auto cit = cnd.zones().find(child_addr);
-              cit != cnd.zones().end()) {
-            if (cit->second.set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          if (const std::uint32_t ccid = cnd.chains().find_containing(
-                  scheme, pz.ssi, child, child_key, bb);
-              ccid != ZoneChainSet::kNone) {
-            // Re-entrant build over an already-compressed tree. If the
-            // member's derived state already equals the incoming piece the
-            // install is a no-op; otherwise split the member out and apply
-            // normally.
-            {
-              const CompressedChain& cc = cnd.chains().get(ccid);
-              const HyperRect ext = zsys.extent(child);
-              HyperRect derived;
-              if (cc.piece.overlaps(ext)) derived = cc.piece.intersect(ext);
-              if (derived == piece && cc.parent_key_at(child.level) == pz.key)
-                continue;
-            }
-            materialize_if_chained(child_host, child_addr, child_key);
-            if (cnd.zone_state(child_addr, child_key)
-                    .set_parent_piece(std::move(piece), pz.key)) {
-              pending[std::size_t(child.level)].push_back(
-                  {pz.ssi, child.code, child_key});
-            }
-            continue;
-          }
-          if (piece.empty()) continue;
-          // Fresh structural child: grow the parent's chain when this is
-          // its sole non-empty child on the same node, else start a new
-          // single-member chain. Either way the child joins the queue (its
-          // piece grew from nothing).
-          if (cid != ZoneChainSet::kNone && nonempty_children == 1 &&
-              child_host == host) {
-            CompressedChain grown = nd.chains().get(cid);
-            nd.chains().erase(cid);
-            grown.tail = child;
-            grown.span += 1;
-            grown.level_keys.push_back(child_key);
-            cid = nd.chains().insert(std::move(grown));
-          } else {
-            CompressedChain fresh;
-            fresh.scheme = scheme;
-            fresh.subscheme = pz.ssi;
-            fresh.tail = child;
-            fresh.span = 1;
-            fresh.piece = std::move(piece);
-            fresh.parent_key = pz.key;
-            fresh.level_keys.assign(1, child_key);
-            cnd.chains().insert(std::move(fresh));
-          }
-          pending[std::size_t(child.level)].push_back(
-              {pz.ssi, child.code, child_key});
+          if (summary.overlaps(zsys.extent(zsys.child(zone, digit))))
+            ++nonempty_children;
         }
       }
-      batch = {};  // processed — free before the next level's wave
+      for (int digit = 0; digit < zsys.base(); ++digit) {
+        const lph::Zone child = zsys.child(zone, digit);
+        HyperRect piece;
+        if (!summary.empty()) {
+          const HyperRect ext = zsys.extent(child);
+          if (summary.overlaps(ext)) piece = summary.intersect(ext);
+        }
+        if (zs != nullptr) {
+          if (piece == zs->child_piece(digit)) continue;
+          zs->set_child_piece(digit, piece);
+        } else if (piece.empty()) {
+          continue;  // chained parent: no implicit state below this edge
+        }
+        const ZoneAddr child_addr{scheme, pz.ssi, child};
+        const Id child_key = lph::zone_key(zsys, child, ss.rotation());
+        const net::HostIndex child_host =
+            ring[bulk_owner_index(ring_ids, child_key)].host;
+        if (cfg_.replicas > 0) {
+          for (const auto& peer :
+               dht_.replica_set(child_host, cfg_.replicas)) {
+            nodes_[peer.host]
+                ->replica_zone_state(child_addr, child_key)
+                .set_parent_piece(piece, pz.key);
+          }
+        }
+        if (!comp) {
+          ZoneState& czs =
+              nodes_[child_host]->zone_state(child_addr, child_key);
+          if (czs.set_parent_piece(std::move(piece), pz.key)) {
+            pending[std::size_t(child.level)].push_back(
+                {pz.ssi, child.code, child_key});
+          }
+          continue;
+        }
+        // Compression: apply at the child without materializing husks.
+        // The cascade from an empty tree only ever grows pieces, so a
+        // child with no state and an empty piece needs nothing.
+        HyperSubNode& cnd = *nodes_[child_host];
+        if (const auto cit = cnd.zones().find(child_addr);
+            cit != cnd.zones().end()) {
+          if (cit->second.set_parent_piece(std::move(piece), pz.key)) {
+            pending[std::size_t(child.level)].push_back(
+                {pz.ssi, child.code, child_key});
+          }
+          continue;
+        }
+        if (const std::uint32_t ccid = cnd.chains().find_containing(
+                scheme, pz.ssi, child, child_key, bb);
+            ccid != ZoneChainSet::kNone) {
+          // Re-entrant build over an already-compressed tree. If the
+          // member's derived state already equals the incoming piece the
+          // install is a no-op; otherwise split the member out and apply
+          // normally.
+          {
+            const CompressedChain& cc = cnd.chains().get(ccid);
+            const HyperRect ext = zsys.extent(child);
+            HyperRect derived;
+            if (cc.piece.overlaps(ext)) derived = cc.piece.intersect(ext);
+            if (derived == piece && cc.parent_key_at(child.level) == pz.key)
+              continue;
+          }
+          materialize_if_chained(child_host, child_addr, child_key);
+          if (cnd.zone_state(child_addr, child_key)
+                  .set_parent_piece(std::move(piece), pz.key)) {
+            pending[std::size_t(child.level)].push_back(
+                {pz.ssi, child.code, child_key});
+          }
+          continue;
+        }
+        if (piece.empty()) continue;
+        // Fresh structural child: grow the parent's chain when this is
+        // its sole non-empty child on the same node, else start a new
+        // single-member chain. Either way the child joins the queue (its
+        // piece grew from nothing).
+        if (cid != ZoneChainSet::kNone && nonempty_children == 1 &&
+            child_host == host) {
+          CompressedChain grown = nd.chains().get(cid);
+          nd.chains().erase(cid);
+          grown.tail = child;
+          grown.span += 1;
+          grown.level_keys.push_back(child_key);
+          cid = nd.chains().insert(std::move(grown));
+        } else {
+          CompressedChain fresh;
+          fresh.scheme = scheme;
+          fresh.subscheme = pz.ssi;
+          fresh.tail = child;
+          fresh.span = 1;
+          fresh.piece = std::move(piece);
+          fresh.parent_key = pz.key;
+          fresh.level_keys.assign(1, child_key);
+          cnd.chains().insert(std::move(fresh));
+        }
+        pending[std::size_t(child.level)].push_back(
+            {pz.ssi, child.code, child_key});
+      }
     }
+    batch = {};  // processed — free before the next level's wave
   }
   return handles;
 }
@@ -584,7 +576,7 @@ void HyperSubSystem::register_subscription_at(net::HostIndex owner,
     }
   }
   const bool grew = zs.add_subscription(std::move(stored));
-  if (grew && !cfg_.ancestor_probing) propagate_pieces(owner, addr);
+  if (grew) propagate_pieces(owner, addr);
 }
 
 void HyperSubSystem::register_piece_at(net::HostIndex owner,
@@ -706,9 +698,7 @@ void HyperSubSystem::propagate_pieces(net::HostIndex host,
 // ---------------------------------------------------------------------------
 // Path-compressed structural zone chains
 //
-// All chain state lives in the owning node's ZoneChainSet; every mutation
-// below happens on that node's shard, so the compressed representation is
-// exactly as parallel-deterministic as the materialized one. Pieces still
+// All chain state lives in the owning node's ZoneChainSet. Pieces still
 // enter a chain only through its head (children of the tail receive routed
 // register_piece_at like before), which is what lets a cascade cross a
 // whole chain in one step instead of one hop per level.
@@ -1200,10 +1190,6 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
                                       pubsub::Event event,
                                       DeliveryCallback on_delivery) {
   assert(scheme < schemes_.size());
-  // publish() is a driver-facing entry point: it allocates the global
-  // event sequence number and the tracker, so it must run in the main
-  // (exclusive) context, never inside a sharded event handler.
-  assert(!simulator().in_worker_context());
   const SchemeRuntime& rt = *schemes_[scheme];
   assert(pubsub::valid_event(rt.scheme(), event));
 
@@ -1236,11 +1222,10 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
   t.publish_time = simulator().now();
   t.root = ctx->root;
 
-  // Initial subid list: one rendezvous (leaf zone) per subscheme; in
-  // ancestor-probing mode additionally every ancestor zone. With the route
-  // cache on, rendezvous probes whose zone key has a cached owner skip the
-  // greedy route and are handed straight to that owner (fast lane); the
-  // rest ride normal routing from the publisher.
+  // Initial subid list: one rendezvous (leaf zone) per subscheme. With the
+  // route cache on, rendezvous probes whose zone key has a cached owner
+  // skip the greedy route and are handed straight to that owner (fast
+  // lane); the rest ride normal routing from the publisher.
   std::vector<SubId> list;
   std::vector<std::pair<net::HostIndex, SubId>> direct;
   ctx->rendezvous.reserve(rt.subscheme_count());
@@ -1264,13 +1249,6 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
       direct.emplace_back(cached, rendezvous);
     } else {
       list.push_back(rendezvous);
-    }
-    if (cfg_.ancestor_probing) {
-      lph::Zone z = leaf;
-      while (z.level > 0) {
-        z = ss.zones().parent(z);
-        list.push_back(SubId{ss.zone_key(z), 0, SubIdKind::kZone});
-      }
     }
   }
 
@@ -1327,22 +1305,17 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
                         via]() mutable {
         process_event_message(host, ctx, std::move(list), hops, via);
       });
-      simulator().defer_ordered([this] { ++join_stats_.events_buffered; });
+      ++join_stats_.events_buffered;
       return;
     }
   }
   HyperSubNode& nd = *nodes_[host];
-  // Tracker accounting is deferred: trackers_ is a system-global map, so
-  // worker-context touches are applied at the window barrier in
-  // deterministic order (inline in sequential mode). Each closure re-finds
-  // the tracker — it may already have been force-finalized
-  // (finalize_events() during churn runs); keep delivering, just stop
-  // accounting.
-  simulator().defer_ordered([this, seq = ctx->seq, hops] {
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      it->second.max_hops = std::max(it->second.max_hops, hops);
-    }
-  });
+  // Every tracker touch re-finds the tracker — it may already have been
+  // force-finalized (finalize_events() during churn runs); keep
+  // delivering, just stop accounting.
+  if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+    it->second.max_hops = std::max(it->second.max_hops, hops);
+  }
 
   // One match span per processed message; everything this node records
   // (deliveries, drops, cache corrections, outgoing forwards) chains under
@@ -1361,7 +1334,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
   // very node. `pending` and `matched_keys` are system-held scratch — the
   // delivery path allocates nothing per message beyond the outgoing
   // per-neighbor sublists, which the send closures must own anyway.
-  Scratch& scratch = scratch_[simulator().worker_slot()];
+  Scratch& scratch = scratch_;
   std::vector<SubId>& pending = scratch.pending;
   pending.clear();
   // One zone key can alias a whole rightmost zone chain, and a chain's
@@ -1443,14 +1416,12 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
         // merely inherited the id range after a failure drops it).
         if (subid.target == nd.node_id()) {
           // End-to-end dedupe: a rerouted subtree can re-match the same
-          // subscription through a different path. The seen-set is
-          // per-subscriber-host, so it lives on this shard.
+          // subscription through a different path.
           if (cfg_.reliable_delivery &&
               !delivered_subs_[host][ctx->seq]
                    .emplace(subid.target, subid.iid)
                    .second) {
-            simulator().defer_ordered(
-                [this] { ++rel_.duplicates_suppressed; });
+            ++rel_.duplicates_suppressed;
             break;
           }
           if (auto* tr = trace::maybe(tracer_);
@@ -1459,25 +1430,16 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
                       host, simulator().now(), subid.iid,
                       std::uint64_t(hops));
           }
-          // The delivery record needs the tracker (latency base, matched
-          // count) and feeds system-global state (sink, metrics), so the
-          // whole tail is deferred; its closure sees the tracker in the
-          // same state a sequential run would at this point. NOTE: the
-          // per-publish on_delivery observer consequently must not
-          // schedule events (it runs inside a barrier in parallel mode).
-          simulator().defer_ordered([this, ctx, host, iid = subid.iid, hops,
-                                     now = simulator().now()] {
-            double lat = 0.0;
-            if (const auto it = trackers_.find(ctx->seq);
-                it != trackers_.end()) {
-              ++it->second.matched;
-              lat = now - it->second.publish_time;
-              it->second.max_latency = std::max(it->second.max_latency, lat);
-            }
-            const Delivery d{ctx->seq, host, iid, hops, lat};
-            sink_->on_delivery(d);
-            if (ctx->on_delivery) ctx->on_delivery(d);
-          });
+          double lat = 0.0;
+          if (const auto it = trackers_.find(ctx->seq);
+              it != trackers_.end()) {
+            ++it->second.matched;
+            lat = simulator().now() - it->second.publish_time;
+            it->second.max_latency = std::max(it->second.max_latency, lat);
+          }
+          const Delivery d{ctx->seq, host, subid.iid, hops, lat};
+          sink_->on_delivery(d);
+          if (ctx->on_delivery) ctx->on_delivery(d);
         }
         break;
       }
@@ -1549,11 +1511,9 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
     sublist->reserve(j - i);
     for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
     i = j;
-    simulator().defer_ordered([this, seq = ctx->seq] {
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        ++it->second.outstanding;
-      }
-    });
+    if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+      ++it->second.outstanding;
+    }
     forward_event(host, to, ctx, std::move(sublist), hops,
                   overlay::Peer::kInvalidHost, match_span);
   }
@@ -1561,16 +1521,13 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
     tr->end(match_span, simulator().now());
   }
 
-  // Retire this hop's outstanding slot. Deferred like every other tracker
-  // touch; the closures above/below apply in this textual order, so the
-  // count never dips below the increments already folded in.
-  simulator().defer_ordered([this, seq = ctx->seq] {
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      assert(it->second.outstanding > 0);
-      --it->second.outstanding;
-      finalize_if_done(seq);
-    }
-  });
+  // Retire this hop's outstanding slot, after the increments for the
+  // forwards above, so the count never dips to zero early.
+  if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+    assert(it->second.outstanding > 0);
+    --it->second.outstanding;
+    finalize_if_done(ctx->seq);
+  }
 }
 
 void HyperSubSystem::forward_event(net::HostIndex host, net::HostIndex to,
@@ -1599,7 +1556,6 @@ void HyperSubSystem::forward_event(net::HostIndex host, net::HostIndex to,
   // add chunks for the same hop.
   auto& queue = batches_[host][to];
   if (queue.empty()) {
-    // Inherits the current (sender's) shard, like every queued chunk.
     simulator().schedule(0.0, [this, host, to] { flush_batch(host, to); });
   }
   queue.push_back(FrameChunk{ctx, std::move(sublist), hops, failed, fwd});
@@ -1613,9 +1569,7 @@ void HyperSubSystem::flush_batch(net::HostIndex host, net::HostIndex to) {
       std::make_shared<std::vector<FrameChunk>>(std::move(it->second));
   mine.erase(it);
   if (chunks->size() > 1) {
-    simulator().defer_ordered([this, n = chunks->size()] {
-      batch_.header_bytes_saved += overlay::kHeaderBytes * (n - 1);
-    });
+    batch_.header_bytes_saved += overlay::kHeaderBytes * (chunks->size() - 1);
   }
   send_frame(host, to, std::move(chunks));
 }
@@ -1638,49 +1592,31 @@ void HyperSubSystem::send_frame(
     net::HostIndex host, net::HostIndex to,
     std::shared_ptr<std::vector<FrameChunk>> chunks) {
   // One header per frame; each chunk pays its own event + subid payload.
-  // The header is attributed to the first chunk with a live tracker. The
-  // frame size is needed synchronously (it goes on the wire); the tracker
-  // and batch-counter attribution is deferred, with the per-chunk sizes
-  // snapshotted now — the receiver consumes the sublists later.
+  // The header is attributed to the first chunk with a live tracker.
   std::uint64_t bytes = overlay::kHeaderBytes;
-  std::uint64_t grouping_saved = 0;
-  std::uint64_t subid_wire = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
-  sizes.reserve(chunks->size());
+  bool header_charged = false;
   for (const FrameChunk& c : *chunks) {
     const std::uint64_t subid_bytes =
         subid_list_wire_bytes(*c.subids, cfg_.cover_aggregation);
     const std::uint64_t chunk_bytes = kEventBytes + subid_bytes;
-    subid_wire += subid_bytes;
+    subid_wire_bytes_ += subid_bytes;
     if (cfg_.cover_aggregation) {
-      grouping_saved +=
+      cover_subid_bytes_saved_ +=
           kSubIdBytes * c.subids->size() -
           subid_list_wire_bytes(*c.subids, true);
     }
     bytes += chunk_bytes;
-    sizes.emplace_back(c.ctx->seq, chunk_bytes);
-  }
-  if (subid_wire > 0 || grouping_saved > 0) {
-    simulator().defer_ordered([this, subid_wire, grouping_saved] {
-      subid_wire_bytes_ += subid_wire;
-      cover_subid_bytes_saved_ += grouping_saved;
-    });
-  }
-  simulator().defer_ordered([this, sizes = std::move(sizes)] {
-    bool header_charged = false;
-    for (const auto& [seq, chunk_bytes] : sizes) {
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        it->second.bytes += chunk_bytes;
-        if (!header_charged) {
-          it->second.bytes += overlay::kHeaderBytes;
-          it->second.header_bytes += overlay::kHeaderBytes;
-          header_charged = true;
-        }
+    if (const auto it = trackers_.find(c.ctx->seq); it != trackers_.end()) {
+      it->second.bytes += chunk_bytes;
+      if (!header_charged) {
+        it->second.bytes += overlay::kHeaderBytes;
+        it->second.header_bytes += overlay::kHeaderBytes;
+        header_charged = true;
       }
     }
-    ++batch_.frames;
-    batch_.chunks += sizes.size();
-  });
+  }
+  ++batch_.frames;
+  batch_.chunks += chunks->size();
 
   const Id sender = dht_.id_of(host);
   if (!cfg_.reliable_delivery) {
@@ -1710,13 +1646,7 @@ void HyperSubSystem::send_frame(
         for (const FrameChunk& c : *chunks) {
           if (c.failed == overlay::Peer::kInvalidHost) continue;
           dht_.note_peer_failure(to, c.failed, host);
-          if (cfg_.route_cache) {
-            // Caches are read on the (exclusive) publish path; mutations
-            // from shard contexts go through the deferred stream.
-            simulator().defer_ordered([this, to, failed = c.failed] {
-              caches_[to]->invalidate_host(failed);
-            });
-          }
+          if (cfg_.route_cache) caches_[to]->invalidate_host(c.failed);
         }
         dht_.note_app_contact(to, sender);
         if (auto* tr = trace::maybe(tracer_)) {
@@ -1736,25 +1666,21 @@ void HyperSubSystem::send_frame(
         // they describe is over, even though it failed; the reroute's new
         // forward spans chain under them.
         dht_.note_peer_failure(host, to);
-        if (cfg_.route_cache) {
-          simulator().defer_ordered(
-              [this, host, to] { caches_[host]->invalidate_host(to); });
-        }
+        if (cfg_.route_cache) caches_[host]->invalidate_host(to);
         if (auto* tr = trace::maybe(tracer_)) {
           const double now = simulator().now();
           for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
         }
         for (const FrameChunk& c : *chunks) {
           reroute_event(host, c.ctx, *c.subids, c.hops, to, c.fwd_span);
-          // reroute_event defers its outstanding increments first, so this
-          // decrement folds in after them — the count stays positive.
-          simulator().defer_ordered([this, seq = c.ctx->seq] {
-            if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-              assert(it->second.outstanding > 0);
-              --it->second.outstanding;
-              finalize_if_done(seq);
-            }
-          });
+          // reroute_event adds its outstanding increments first, so this
+          // decrement follows them — the count stays positive.
+          if (const auto it = trackers_.find(c.ctx->seq);
+              it != trackers_.end()) {
+            assert(it->second.outstanding > 0);
+            --it->second.outstanding;
+            finalize_if_done(c.ctx->seq);
+          }
         }
       },
       tctx);
@@ -1796,12 +1722,10 @@ void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
     sublist->reserve(j - i);
     for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
     i = j;
-    simulator().defer_ordered([this, seq = ctx->seq] {
-      ++rel_.reroutes;
-      if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-        ++it->second.outstanding;
-      }
-    });
+    ++rel_.reroutes;
+    if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
+      ++it->second.outstanding;
+    }
     if (traced) {
       tr->point(ctx->trace, parent, trace::SpanKind::kReroute, host,
                 simulator().now(), std::uint64_t(to),
@@ -1830,8 +1754,7 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
           tr->point(ctx->trace, parent, trace::SpanKind::kCacheCorrect,
                     host, simulator().now(), std::uint64_t(ctx->origin));
         }
-        simulator().defer_ordered(
-            [this, host, key] { caches_[host]->forget(key); });
+        caches_[host]->forget(key);
       }
     } else if (rv.sent_to != host) {
       // Miss (probe rode normal routing) or stale hit (probe was handed to
@@ -1848,11 +1771,7 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
           host, ctx->origin,
           overlay::kHeaderBytes + overlay::kKeyBytes + overlay::kNodeRefBytes,
           [this, origin = ctx->origin, key, owner = host] {
-            // Runs on the origin's shard; the cache write joins the
-            // deferred stream like every other cache mutation.
-            simulator().defer_ordered([this, origin, key, owner] {
-              caches_[origin]->learn(key, owner);
-            });
+            caches_[origin]->learn(key, owner);
           });
     }
     return;  // duplicate keys across subschemes alias the same owner
@@ -1861,23 +1780,15 @@ void HyperSubSystem::note_rendezvous_owner(net::HostIndex host,
 
 void HyperSubSystem::invalidate_cached_route(Id key) {
   if (!cfg_.route_cache) return;
-  // Callers include shard-context paths (migration replies); the sweep over
-  // every host's cache is global state, so it rides the deferred stream.
-  simulator().defer_ordered([this, key] {
-    for (auto& c : caches_) c->forget(key);
-  });
+  for (auto& c : caches_) c->forget(key);
 }
 
 void HyperSubSystem::note_event_drop(std::uint64_t seq, std::size_t subids) {
   if (subids == 0) return;
-  // Global counters + tracker flag; deferred so shard-context drops fold in
-  // at the barrier in the sequential order.
-  simulator().defer_ordered([this, seq, subids] {
-    rel_.unmasked_drops += subids;
-    if (const auto it = trackers_.find(seq); it != trackers_.end()) {
-      it->second.truncated = true;
-    }
-  });
+  rel_.unmasked_drops += subids;
+  if (const auto it = trackers_.find(seq); it != trackers_.end()) {
+    it->second.truncated = true;
+  }
 }
 
 void HyperSubSystem::finalize_if_done(std::uint64_t seq) {
@@ -2322,10 +2233,6 @@ std::uint64_t HyperSubSystem::zone_content_digest() const {
 // Leave: the same machinery inverted — the leaver pushes its whole zone set
 // to its successor, drains the queue, bridges late arrivals, then splices
 // out of the ring and dies.
-//
-// Every handler below runs on the shard of the host whose state it touches
-// (transfer frames land at their destination); global counters ride
-// defer_ordered. That keeps the protocol deterministic under --threads=N.
 
 namespace {
 
@@ -2508,14 +2415,10 @@ void HyperSubSystem::reseed_replicas(net::HostIndex owner, const ZoneAddr& addr,
                      nd.replica_zone_state(addr, key).restore(r);
                    });
   }
-  if (sent > 0) {
-    simulator().defer_ordered(
-        [this, sent] { join_stats_.transfer_bytes += sent; });
-  }
+  join_stats_.transfer_bytes += sent;
 }
 
 void HyperSubSystem::join_node(net::HostIndex host, net::HostIndex bootstrap) {
-  assert(!simulator().in_worker_context());
   assert(host < nodes_.size() && bootstrap < nodes_.size());
   assert(host != bootstrap);
   assert(network().alive(bootstrap));
@@ -2544,8 +2447,7 @@ void HyperSubSystem::join_node(net::HostIndex host, net::HostIndex bootstrap) {
                             WarmState& w2 = warm_[host];
                             if (w2.warming && w2.epoch == epoch &&
                                 network().alive(host)) {
-                              simulator().defer_ordered(
-                                  [this] { ++join_stats_.joins_aborted; });
+                              ++join_stats_.joins_aborted;
                               finish_warming(host);
                             }
                           });
@@ -2591,10 +2493,8 @@ void HyperSubSystem::handle_transfer_request(net::HostIndex owner,
   auto frame = std::make_shared<std::vector<std::uint8_t>>(
       serialize_moved_zones(owner, t, &zones));
   const std::uint64_t bytes = overlay::kHeaderBytes + frame->size();
-  simulator().defer_ordered([this, bytes, zones] {
-    join_stats_.transfer_bytes += bytes;
-    join_stats_.zones_transferred += zones;
-  });
+  join_stats_.transfer_bytes += bytes;
+  join_stats_.zones_transferred += zones;
   network().send(owner, joiner, bytes, [this, joiner, frame] {
     WarmState& ws = warm_[joiner];
     if (ws.warming) {
@@ -2628,8 +2528,7 @@ void HyperSubSystem::handover_tick(net::HostIndex owner, std::uint64_t epoch) {
     t.queue.clear();
     const std::uint64_t bytes = overlay::kHeaderBytes + t.queue_bytes;
     t.queue_bytes = 0;
-    simulator().defer_ordered(
-        [this, bytes] { join_stats_.transfer_bytes += bytes; });
+    join_stats_.transfer_bytes += bytes;
     network().send(owner, t.target, bytes, [this, to = t.target, ops] {
       WarmState& ws = warm_[to];
       if (ws.warming) {
@@ -2676,13 +2575,11 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
         if (ok) {
           finish_warming(joiner);
           const double handoff = simulator().now() - started;
-          simulator().defer_ordered([this, handoff] {
-            ++join_stats_.joins_committed;
-            join_stats_.total_handoff_ms += handoff;
-            if (handoff > join_stats_.max_handoff_ms) {
-              join_stats_.max_handoff_ms = handoff;
-            }
-          });
+          ++join_stats_.joins_committed;
+          join_stats_.total_handoff_ms += handoff;
+          if (handoff > join_stats_.max_handoff_ms) {
+            join_stats_.max_handoff_ms = handoff;
+          }
         }
         network().send(joiner, owner, overlay::kHeaderBytes,
                        [this, owner, epoch, ok] {
@@ -2763,8 +2660,7 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
           } else {
             // The joiner gave up warming before the commit arrived: keep
             // the zones — this is an abort, not a commit.
-            simulator().defer_ordered(
-                [this] { ++join_stats_.joins_aborted; });
+            ++join_stats_.joins_aborted;
           }
           const std::uint64_t e = t2.epoch;
           t2 = TransferOut{};
@@ -2815,13 +2711,11 @@ void HyperSubSystem::commit_leave_handover(net::HostIndex owner) {
           // lands and the copies die with the node.
           for (const auto& [key, addr] : *moved) invalidate_cached_route(key);
           const double handoff = simulator().now() - t2.started_ms;
-          simulator().defer_ordered([this, handoff] {
-            ++join_stats_.leaves_completed;
-            join_stats_.total_handoff_ms += handoff;
-            if (handoff > join_stats_.max_handoff_ms) {
-              join_stats_.max_handoff_ms = handoff;
-            }
-          });
+          ++join_stats_.leaves_completed;
+          join_stats_.total_handoff_ms += handoff;
+          if (handoff > join_stats_.max_handoff_ms) {
+            join_stats_.max_handoff_ms = handoff;
+          }
           dht_.leave(owner, [this, owner] {
             const std::uint64_t e = transfers_out_[owner].epoch;
             transfers_out_[owner] = TransferOut{};
@@ -2837,7 +2731,7 @@ void HyperSubSystem::abort_transfer(net::HostIndex owner) {
   const std::uint64_t epoch = t.epoch;
   t = TransferOut{};
   t.epoch = epoch;
-  simulator().defer_ordered([this] { ++join_stats_.joins_aborted; });
+  ++join_stats_.joins_aborted;
 }
 
 void HyperSubSystem::finish_warming(net::HostIndex joiner) {
@@ -2871,14 +2765,11 @@ void HyperSubSystem::finish_warming(net::HostIndex joiner) {
   for (auto& op : done.ops) op();
   const std::uint64_t q = done.transfer_ops.size();
   const std::uint64_t w = done.ops.size();
-  simulator().defer_ordered([this, q, w] {
-    join_stats_.queued_ops_replayed += q;
-    join_stats_.warm_ops_replayed += w;
-  });
+  join_stats_.queued_ops_replayed += q;
+  join_stats_.warm_ops_replayed += w;
 }
 
 void HyperSubSystem::leave_node(net::HostIndex host) {
-  assert(!simulator().in_worker_context());
   if (!network().alive(host)) return;
   if (transfers_out_[host].active || warm_[host].warming) return;
   const overlay::Peer heir = dht_.heir_of(host);
@@ -2915,7 +2806,6 @@ void HyperSubSystem::leave_node(net::HostIndex host) {
 }
 
 void HyperSubSystem::crash_node(net::HostIndex host) {
-  assert(!simulator().in_worker_context());
   // Abrupt: no handshake. Clear any transfer machinery this host ran.
   {
     TransferOut& t = transfers_out_[host];
@@ -2943,7 +2833,6 @@ std::vector<std::uint8_t> HyperSubSystem::snapshot_node(
 void HyperSubSystem::restore_node(net::HostIndex host,
                                   const std::vector<std::uint8_t>& snapshot,
                                   net::HostIndex bootstrap) {
-  assert(!simulator().in_worker_context());
   if (!network().alive(host)) network().revive(host);
   common::ByteReader r(snapshot);
   const std::uint32_t ver = r.u32();
@@ -3020,7 +2909,7 @@ void HyperSubSystem::save_state(common::ByteWriter& w) const {
   event_metrics_.save_state(w);
   channel_.save_stats(w);
   for (const auto& c : caches_) c->save_state(w);
-  // Built-in sink rows (append order is the deterministic deferred order).
+  // Built-in sink rows, in delivery order.
   const auto& rows = default_sink_.rows();
   w.u64(rows.size());
   for (const Delivery& d : rows) {

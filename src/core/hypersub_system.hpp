@@ -13,7 +13,6 @@
 // The system also owns experiment observability: per-event cost trackers,
 // the pluggable delivery sink, and per-node loads.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -69,9 +68,6 @@ struct SubscriptionHandle {
 class HyperSubSystem {
  public:
   struct Config {
-    /// Alternative to the paper's summary-filter piece propagation: events
-    /// probe every ancestor zone directly (ablation; default off = paper).
-    bool ancestor_probing = false;
     /// Robustness extension: replicate every zone registration to this
     /// many of the owner's would-be heirs (overlay replica_set). When the
     /// owner fails and the DHT repairs, the promoted node matches from its
@@ -133,9 +129,8 @@ class HyperSubSystem {
     /// instead of one ZoneState per level. Cuts the zone tree's memory and
     /// lets piece cascades jump head-to-tail in one step; event matching,
     /// zone fingerprints, and delivery sets are identical with the flag on
-    /// or off. Effective only without ancestor probing (which needs every
-    /// ancestor materialized) and without replicas (replica images mirror
-    /// materialized zones); in those modes the flag is ignored.
+    /// or off. Effective only without replicas (replica images mirror
+    /// materialized zones); with replicas the flag is ignored.
     bool compress_zone_chains = true;
     /// Overlay bootstrap at construction (see BootstrapMode). kOracle runs
     /// Overlay::build(build_threads) in the constructor, before the
@@ -349,9 +344,7 @@ class HyperSubSystem {
   /// detached first).
   void set_tracer(trace::Tracer* t) {
     tracer_ = t;
-    // Bind the tracer to this simulation so span ids are minted per shard
-    // (identical across thread counts) and log appends from worker
-    // contexts are deferred to window barriers.
+    // Bind the tracer to this simulation so span ids are minted per shard.
     if (auto* tr = trace::maybe(t)) tr->bind(&simulator(), dht_.size());
     channel_.set_tracer(t);
     dht_.set_tracer(t);
@@ -462,9 +455,8 @@ class HyperSubSystem {
 
  private:
   // -- live state transfer (join/leave tentpole) ------------------------------
-  // One outbound session per old owner and one warm buffer per joiner, each
-  // touched only on its own host's shard — handlers run where the transfer
-  // messages land, so the protocol is deterministic under --threads=N.
+  // One outbound session per old owner and one warm buffer per joiner;
+  // handlers run where the transfer messages land.
 
   /// Outbound handover at the old owner: snapshot already shipped; every
   /// in-range mutation is applied locally AND queued as a zone-local replay
@@ -532,17 +524,14 @@ class HyperSubSystem {
                         std::uint32_t iid, const pubsub::Subscription& sub);
 
   // -- path-compressed structural zone chains (zone_chain.hpp) ---------------
-  // All chain state lives in the owning node's ZoneChainSet and is mutated
-  // only on that node's shard, so compression is parallel-deterministic for
-  // free. Every helper below is a no-op (or unreachable) when
-  // compress_enabled() is false — the uncompressed paths are byte-for-byte
-  // the pre-compression behavior.
+  // All chain state lives in the owning node's ZoneChainSet. Every helper
+  // below is a no-op (or unreachable) when compress_enabled() is false —
+  // the uncompressed paths are byte-for-byte the pre-compression behavior.
 
-  /// Compression is active: flag on, and neither ablation mode that
-  /// requires every structural zone materialized.
+  /// Compression is active: flag on, and no replicas (replica images
+  /// require every structural zone materialized).
   bool compress_enabled() const noexcept {
-    return cfg_.compress_zone_chains && !cfg_.ancestor_probing &&
-           cfg_.replicas == 0;
+    return cfg_.compress_zone_chains && cfg_.replicas == 0;
   }
   /// A summary-filter piece landed on a zone with no materialized state:
   /// create/extend/reshape/dissolve the compressed chain covering it and
@@ -661,21 +650,15 @@ class HyperSubSystem {
   /// the subid payload bytes actually sent, counted in both modes).
   std::uint64_t cover_subid_bytes_saved_ = 0;
   std::uint64_t subid_wire_bytes_ = 0;
-  /// Per-event cost accounting. The map itself (and every Tracker inside)
-  /// is mutated only from the main context: worker-side touches ride
-  /// Simulator::defer_ordered closures applied in deterministic order at
-  /// the window barrier (which run inline — hence unchanged — in
-  /// sequential mode).
+  /// Per-event cost accounting, keyed by event seq.
   std::unordered_map<std::uint64_t, Tracker> trackers_;
-  /// Chunks awaiting this timestep's flush, keyed per sender (so each
-  /// entry is touched only on the sender's shard) by next hop.
+  /// Chunks awaiting this timestep's flush, keyed per sender by next hop.
   std::vector<std::map<net::HostIndex, std::vector<FrameChunk>>> batches_;
   /// Per-host, per-event delivered (subscriber node id, iid) pairs:
   /// end-to-end duplicate suppression under reliable delivery
   /// (retransmitted subtrees can re-match the same subscription through a
-  /// different path). Split per subscriber host so each set is touched
-  /// only on that host's shard. Only populated when reliable_delivery;
-  /// cleared by reset_metrics().
+  /// different path). Split per subscriber host. Only populated when
+  /// reliable_delivery; cleared by reset_metrics().
   std::vector<
       std::unordered_map<std::uint64_t, std::set<std::pair<Id, std::uint32_t>>>>
       delivered_subs_;
@@ -685,14 +668,11 @@ class HyperSubSystem {
   /// Live-transfer machinery, indexed by host (see TransferOut/WarmState).
   std::vector<TransferOut> transfers_out_;
   std::vector<WarmState> warm_;
-  /// Global transfer counters; shard-context touches ride defer_ordered.
-  JoinStats join_stats_;
+  JoinStats join_stats_;  ///< global transfer counters
 
   // Event-delivery scratch, reused across process_event_message calls to
-  // keep the hot path allocation-free, one set per worker slot (slot 0 is
-  // the sequential/main context). No reentrant call can observe a half-used
-  // buffer: every network send/schedule is asynchronous, and two messages
-  // processed concurrently live on different worker slots.
+  // keep the hot path allocation-free. No reentrant call can observe a
+  // half-used buffer: every network send/schedule is asynchronous.
   struct Scratch {
     std::vector<SubId> pending;
     std::vector<Id> keys;
@@ -700,7 +680,7 @@ class HyperSubSystem {
     std::vector<std::uint32_t> cand;
     std::vector<ZoneState*> zones;
   };
-  std::array<Scratch, sim::Simulator::kMaxWorkers + 1> scratch_;
+  Scratch scratch_;
 };
 
 }  // namespace hypersub::core

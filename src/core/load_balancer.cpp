@@ -281,10 +281,7 @@ void LoadBalancer::migrate(net::HostIndex h,
                   zs.add_migrated_bucket(MigratedBucket{
                       summary, std::move(*rects),
                       SubId{acceptor.id, token, SubIdKind::kMigrated}});
-                  // Balancer-global counter mutated from h's shard: joins
-                  // the deferred stream (inline in sequential mode).
-                  sys_.simulator().defer_ordered(
-                      [this, count] { migrated_ += count; });
+                  migrated_ += count;
                   // Coherence: the zone's repository changed shape (part
                   // of it now lives behind a migrated-bucket pointer);
                   // force the next publish of this key through a full
@@ -298,10 +295,7 @@ void LoadBalancer::migrate(net::HostIndex h,
                     sys_.propagate_pieces(h, origin_addr);
                   }
                 },
-                [this, count] {
-                  sys_.simulator().defer_ordered(
-                      [this, count] { failed_ += count; });
-                },
+                [this, count] { failed_ += count; },
                 trace::TraceCtx{mtrace, mspan});
           },
           [this, h, origin_addr, zone_key, bucket, count, mtrace, mspan] {
@@ -317,8 +311,7 @@ void LoadBalancer::migrate(net::HostIndex h,
             ZoneState& zs = origin.zone_state(origin_addr, zone_key);
             const HyperRect before = zs.summary();
             for (auto& s : *bucket) zs.add_subscription(std::move(s));
-            sys_.simulator().defer_ordered(
-                [this, count] { failed_ += count; });
+            failed_ += count;
             if (!(zs.summary() == before)) {
               sys_.propagate_pieces(h, origin_addr);
             }

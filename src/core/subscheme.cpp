@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
-#include <shared_mutex>
 
 namespace hypersub::core {
 
@@ -45,17 +43,9 @@ Id Subscheme::zone_key(const lph::Zone& z) const {
   // the level's digits (codes use at most 60 bits, so the sentinel fits).
   const std::uint64_t packed =
       z.code | (std::uint64_t{1} << (z.level * zones_.base_bits()));
-  {
-    std::shared_lock lock(key_cache_->mu);
-    const auto it = key_cache_->map.find(packed);
-    if (it != key_cache_->map.end()) return it->second;
-  }
-  // The key is a pure function of the zone: two threads racing to insert
-  // the same value is harmless, so compute outside the lock.
-  const Id key = lph::zone_key(zones_, z, rotation_);
-  std::unique_lock lock(key_cache_->mu);
-  key_cache_->map.emplace(packed, key);
-  return key;
+  const auto [it, inserted] = key_cache_.try_emplace(packed);
+  if (inserted) it->second = lph::zone_key(zones_, z, rotation_);
+  return it->second;
 }
 
 Point Subscheme::project(const Point& full) const {

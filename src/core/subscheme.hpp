@@ -9,8 +9,6 @@
 // rendezvous zone per subscheme.
 
 #include <cstddef>
-#include <memory>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,10 +34,10 @@ class Subscheme {
   Id rotation() const noexcept { return rotation_; }
 
   /// Rotated Chord key of one of this subscheme's zones, memoized per
-  /// (zone, rotation). Publish climbs ancestor chains and piece
-  /// propagation fans out over children every time a summary moves, so the
-  /// same few thousand zone keys are requested over and over; the cache
-  /// makes the repeats a hash-map hit instead of a fresh LPH computation.
+  /// (zone, rotation). Piece propagation fans out over children every
+  /// time a summary moves, so the same few thousand zone keys are
+  /// requested over and over; the cache makes the repeats a hash-map hit
+  /// instead of a fresh LPH computation.
   Id zone_key(const lph::Zone& z) const;
 
   /// Project a full-space rectangle/point onto this subscheme's dimensions.
@@ -60,15 +58,8 @@ class Subscheme {
   std::vector<std::size_t> attrs_;
   lph::ZoneSystem zones_;
   Id rotation_;
-  /// Memo of zone -> rotated key. The value is a pure function of the
-  /// zone, so which thread inserts it is irrelevant to determinism, but
-  /// the map itself is shared by every shard (parallel engine) — guarded
-  /// by a reader/writer lock, behind a pointer so Subscheme stays movable.
-  struct KeyCache {
-    mutable std::shared_mutex mu;
-    std::unordered_map<std::uint64_t, Id> map;
-  };
-  std::unique_ptr<KeyCache> key_cache_ = std::make_unique<KeyCache>();
+  /// Memo of packed zone code -> rotated key (a pure function of the zone).
+  mutable std::unordered_map<std::uint64_t, Id> key_cache_;
 };
 
 /// Options controlling how a scheme is laid out on the overlay.

@@ -11,16 +11,9 @@
 // is stored (inside Network::Delivery) directly in the scheduler's sim::Task:
 // one type erasure, and no heap allocation while the two fit Task's inline
 // buffer (the event-frame handler does; tests/test_sim.cpp pins it).
-//
-// Parallel-engine integration: delivery handlers are scheduled on the
-// destination host's shard (the handler touches the receiver's state), the
-// one-way delay is clamped to the simulator's conservative lookahead (so a
-// message sent inside a window can never land inside the same window on
-// another shard), and traffic counters written from worker contexts
-// accumulate into per-worker deltas folded at each window barrier — the
-// sums are commutative, so totals are byte-identical to a sequential run.
+// Delivery handlers run on the destination host's shard (the handler
+// touches the receiver's state).
 
-#include <array>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
@@ -72,12 +65,11 @@ class Network {
   };
 
   /// Deliver `handler` (any move-constructible `void()` callable) at the
-  /// destination after the one-way latency (clamped to the simulator's
-  /// lookahead), on the destination's shard. Accounts `bytes` against both
-  /// endpoints. Messages to self run at the current time on the current
-  /// shard without traffic accounting. Messages to or from dead hosts are
-  /// dropped (counted in dropped()), and so are messages whose destination
-  /// dies before they arrive.
+  /// destination after the one-way latency, on the destination's shard.
+  /// Accounts `bytes` against both endpoints. Messages to self run at the
+  /// current time on the current shard without traffic accounting.
+  /// Messages to or from dead hosts are dropped (counted in dropped()), and
+  /// so are messages whose destination dies before they arrive.
   template <class F>
   void send(HostIndex from, HostIndex to, std::uint64_t bytes, F&& handler) {
     assert(from < alive_.size() && to < alive_.size());
@@ -86,7 +78,7 @@ class Network {
       return;
     }
     if (!admit(from, to, bytes)) return;
-    sim_.schedule_on(sim::Shard(to), wire_delay(from, to),
+    sim_.schedule_on(sim::Shard(to), topo_.latency(from, to),
                      Delivery<std::decay_t<F>>{this, to,
                                                std::forward<F>(handler)});
   }
@@ -97,16 +89,6 @@ class Network {
   void revive(HostIndex h);
   bool alive(HostIndex h) const { return alive_[h]; }
 
-  /// Derive the simulator's lookahead floor from the minimum outstanding
-  /// link latency (Topology::min_latency_bound over live hosts) and keep it
-  /// current across kill()/revive(). Because no live link delivers below
-  /// the floor, the delay clamp never fires and behavior is unchanged —
-  /// the parallel engine just gets the widest window that is still
-  /// conservative. Call before run(); membership changes re-derive the
-  /// floor from exclusive context, preserving byte-identical determinism.
-  void enable_adaptive_lookahead();
-  bool adaptive_lookahead() const noexcept { return adaptive_lookahead_; }
-
   const HostTraffic& traffic(HostIndex h) const { return traffic_[h]; }
   /// Zero all traffic counters (e.g., after warm-up/stabilization).
   void reset_traffic();
@@ -116,30 +98,15 @@ class Network {
   std::uint64_t dropped() const noexcept { return dropped_; }
 
   /// Checkpoint liveness + traffic counters. Call only at quiescence (no
-  /// in-flight messages; worker deltas folded).
+  /// in-flight messages).
   void save_state(common::ByteWriter& w) const;
-  /// Restore; re-derives the adaptive lookahead floor if enabled.
   void restore_state(common::ByteReader& r);
 
  private:
-  /// Counter increments made by one worker during one window; folded into
-  /// the real counters at the window barrier (merge hook).
-  struct SlotDelta {
-    std::vector<std::pair<HostIndex, HostTraffic>> items;
-    std::uint64_t total_messages = 0;
-    std::uint64_t total_bytes = 0;
-    std::uint64_t dropped = 0;
-  };
-
   /// Liveness check + traffic accounting of a remote send; false when the
   /// message is dropped.
   bool admit(HostIndex from, HostIndex to, std::uint64_t bytes);
-  /// One-way delay, clamped to the simulator's effective lookahead.
-  double wire_delay(HostIndex from, HostIndex to) const;
-  void account_send(HostIndex from, HostIndex to, std::uint64_t bytes);
-  void account_drop();
-  void fold_deltas();
-  void refresh_lookahead_floor();
+  void account_drop() noexcept { ++dropped_; }
 
   sim::Simulator& sim_;
   const Topology& topo_;
@@ -148,8 +115,6 @@ class Network {
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t dropped_ = 0;
-  bool adaptive_lookahead_ = false;
-  std::array<SlotDelta, sim::Simulator::kMaxWorkers + 1> deltas_;
 };
 
 }  // namespace hypersub::net

@@ -42,19 +42,17 @@ void ReliableChannel::send(HostIndex from, HostIndex to, std::uint64_t bytes,
 void ReliableChannel::attempt(const std::shared_ptr<Message>& m,
                               int attempt_no) {
   net_.send(m->from, m->to, m->bytes, [this, m] {
-    // Receiver side (runs on the receiver's shard). Run the handler only
-    // for the first copy; every copy triggers an ack so the sender stops
-    // retransmitting. The insert-only seen-set suppresses later copies, and
-    // final expiry poisons it (below) so a copy arriving after the sender
-    // gave up — and rerouted the payload — is suppressed too, without the
-    // receiver ever reading sender-shard state.
+    // Receiver side. Run the handler only for the first copy; every copy
+    // triggers an ack so the sender stops retransmitting. The insert-only
+    // seen-set suppresses later copies, and final expiry poisons it (below)
+    // so a copy arriving after the sender gave up — and rerouted the
+    // payload — is suppressed too.
     if (!delivered_[m->to].insert(m->id).second) {
       ++per_host_[m->to].duplicates_suppressed;
     } else {
       m->deliver();
     }
     net_.send(m->to, m->from, cfg_.ack_bytes, [this, m] {
-      // Sender's shard.
       if (m->resolved) return;
       m->resolved = true;
       ++per_host_[m->from].acked;
@@ -62,8 +60,6 @@ void ReliableChannel::attempt(const std::shared_ptr<Message>& m,
   });
   const double deadline =
       cfg_.ack_timeout_ms * std::pow(cfg_.backoff, attempt_no);
-  // The timer inherits the current shard — attempt() always runs in the
-  // sender's context (send() at the sender, or a previous timer here).
   net_.simulator().schedule(deadline, [this, m, attempt_no] {
     if (m->resolved) return;
     if (!net_.alive(m->from)) {
@@ -87,12 +83,9 @@ void ReliableChannel::attempt(const std::shared_ptr<Message>& m,
     ++per_host_[m->from].expired;
     // At-most-once across the reroute: the sender is about to resend the
     // payload through another hop, so a late-arriving copy of THIS message
-    // must not also be processed. Poison the receiver's seen-set through a
-    // cross-shard hand-off — it is scheduled identically in both modes
-    // (same effective lookahead), so runs stay byte-identical.
+    // must not also be processed: poison the receiver's seen-set.
     net_.simulator().schedule_on(
-        m->to, net_.simulator().effective_lookahead(),
-        [this, m] { delivered_[m->to].insert(m->id); });
+        m->to, 0.0, [this, m] { delivered_[m->to].insert(m->id); });
     if (auto* tr = trace::maybe(tracer_); tr && m->tctx.active()) {
       tr->point(m->tctx.trace, m->tctx.parent, trace::SpanKind::kExpire,
                 m->from, net_.simulator().now(), std::uint64_t(m->to));

@@ -15,13 +15,6 @@
 // its predecessor is suppressed by a receiver-side seen-set. Ack traffic is
 // accounted through Network like every other message, so the bandwidth
 // metrics see the true cost of reliability.
-//
-// Parallel-engine integration: message ids are minted from per-sender
-// counters (globally unique without coordination, identical across thread
-// counts), the seen-sets are per-receiver and insert-only (each touched
-// only on its host's shard), the sender-side state (`resolved`, timers,
-// retry/expire accounting) stays on the sender's shard via the simulator's
-// shard-inheriting timers, and Stats are kept per host and summed on read.
 
 #include <cassert>
 #include <cstdint>
@@ -136,10 +129,7 @@ class ReliableChannel {
     std::function<void()> deliver;
     std::function<void()> on_fail;
     trace::TraceCtx tctx;
-    /// Acked, expired, or orphaned (sender died). Read and written only on
-    /// the sender's shard: the ack handler and every timeout timer run
-    /// there (Network routes acks to the sender; timers inherit the shard
-    /// of the event that armed them).
+    /// Acked, expired, or orphaned (sender died).
     bool resolved = false;
   };
 
@@ -147,16 +137,13 @@ class ReliableChannel {
 
   Network& net_;
   Config cfg_;
-  /// Indexed by host; each entry is written only from that host's shard.
-  std::vector<Stats> per_host_;
+  std::vector<Stats> per_host_;  ///< indexed by host
   trace::Tracer* tracer_ = nullptr;
   /// Per-sender id counters; ids are (sender+1) << 40 | counter, so they
-  /// are globally unique and identical across thread counts (each counter
-  /// advances in the sender's deterministic event order).
+  /// are globally unique.
   std::vector<std::uint64_t> send_ctr_;
   /// Per-receiver ids already delivered: dedupes retransmissions. Insert-
-  /// only — ids are globally unique, so entries never need erasing, and the
-  /// set is touched only on the receiver's shard.
+  /// only — ids are globally unique, so entries never need erasing.
   std::vector<std::unordered_set<std::uint64_t>> delivered_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 #include "common/hashing.hpp"
 
@@ -32,23 +31,6 @@ double Topology::mean_rtt(std::size_t sample_pairs, std::uint64_t seed) const {
     }
   }
   return sum / double(count);
-}
-
-double MatrixTopology::min_latency_bound(const std::vector<bool>& alive) const {
-  const auto live = [&](std::size_t i) { return alive.empty() || alive[i]; };
-  double best = 0.0;
-  bool found = false;
-  for (std::size_t i = 0; i < m_.size(); ++i) {
-    if (!live(i)) continue;
-    for (std::size_t j = i + 1; j < m_.size(); ++j) {
-      if (!live(j)) continue;
-      if (!found || m_[i][j] < best) {
-        best = m_[i][j];
-        found = true;
-      }
-    }
-  }
-  return found ? best : 0.0;
 }
 
 MatrixTopology::MatrixTopology(std::vector<std::vector<double>> oneway)
@@ -107,24 +89,6 @@ KingLikeTopology::KingLikeTopology(const Params& p)
       scale_ *= p.target_mean_rtt_ms * (1.0 - p.access_delay_frac) / core_part;
     }
   }
-}
-
-double KingLikeTopology::min_latency_bound(const std::vector<bool>& alive) const {
-  // Track the two smallest access delays among live hosts; core and jitter
-  // terms are non-negative, so their sum bounds every live link.
-  const double inf = std::numeric_limits<double>::infinity();
-  double lo1 = inf, lo2 = inf;
-  for (std::size_t i = 0; i < access_ms_.size(); ++i) {
-    if (!alive.empty() && !alive[i]) continue;
-    const double a = access_ms_[i];
-    if (a < lo1) {
-      lo2 = lo1;
-      lo1 = a;
-    } else if (a < lo2) {
-      lo2 = a;
-    }
-  }
-  return lo2 == inf ? 0.0 : lo1 + lo2;
 }
 
 double KingLikeTopology::latency(HostIndex a, HostIndex b) const {

@@ -41,16 +41,6 @@ class Topology {
   /// Mean RTT over sampled host pairs (exact for small n).
   double mean_rtt(std::size_t sample_pairs = 200000,
                   std::uint64_t seed = 1) const;
-
-  /// Conservative lower bound on the one-way latency between any two
-  /// *distinct* hosts marked true in `alive` (empty = all alive). Used by
-  /// the adaptive-lookahead mode: the bound widens the parallel engine's
-  /// windows without changing behavior, since no link delivers faster.
-  /// The default declines to bound (0.0 disables adaptivity).
-  virtual double min_latency_bound(const std::vector<bool>& alive) const {
-    (void)alive;
-    return 0.0;
-  }
 };
 
 /// Explicit one-way latency matrix (tests, or real measurement files).
@@ -61,9 +51,6 @@ class MatrixTopology final : public Topology {
 
   std::size_t size() const override { return m_.size(); }
   double latency(HostIndex a, HostIndex b) const override { return m_[a][b]; }
-
-  /// Exact minimum over live off-diagonal entries (the matrix is small).
-  double min_latency_bound(const std::vector<bool>& alive) const override;
 
  private:
   std::vector<std::vector<double>> m_;
@@ -86,11 +73,6 @@ class KingLikeTopology final : public Topology {
 
   std::size_t size() const override { return coords_.size(); }
   double latency(HostIndex a, HostIndex b) const override;
-
-  /// latency() is core(a,b) + access[a] + access[b] with core >= 0, so the
-  /// sum of the two smallest live access delays bounds every live link
-  /// from below — an O(n) bound, no pair enumeration.
-  double min_latency_bound(const std::vector<bool>& alive) const override;
 
  private:
   static constexpr std::size_t kDims = 5;

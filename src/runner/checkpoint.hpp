@@ -5,7 +5,7 @@
 // (zones, summary filters, replicas, migrated repos, metrics, delivery
 // log), and the attached tracer's span log. A run restored from a
 // checkpoint and driven to completion produces byte-identical final state
-// (snapshot + span log) to the uninterrupted run, at any --threads=N.
+// (snapshot + span log) to the uninterrupted run.
 //
 // Contract: checkpoint only at quiescence — simulator drained (run()
 // returned), no transfer session or warming joiner in flight

@@ -22,15 +22,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   net::KingLikeTopology topo(tp);
 
   sim::Simulator simulator;
-  // Lookahead is set before any message flows: it clamps the minimum
-  // network latency in BOTH modes, so a parallel run compares byte-for-byte
-  // against a sequential run with the same lookahead.
-  simulator.set_threads(cfg.sim_threads);
-  simulator.set_lookahead(cfg.lookahead_ms);
   net::Network network(simulator, topo);
-  // The adaptive floor only widens windows (no link delivers below it), so
-  // enabling it on a sequential run too keeps the byte-identity contract.
-  if (cfg.adaptive_lookahead) network.enable_adaptive_lookahead();
 
   chord::ChordNet::Params cp;
   cp.pns = cfg.pns;

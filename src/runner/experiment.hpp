@@ -30,14 +30,14 @@ struct ExperimentConfig {
   int code_bits = 20;   ///< bits of the identifier used for zone codes
   bool rotation = true;
   std::vector<std::vector<std::size_t>> subschemes;  ///< §3.5; empty = off
-  // pub/sub system — passed through verbatim (ancestor probing, replicas,
-  // reliability, route cache, batching, cover aggregation, streaming
-  // metrics, transfer knobs...). The runner only overrides bootstrap (it
-  // always oracle-builds, with `setup_threads` workers) and
-  // stream_event_metrics plumbing it already owns. The former mirrored
-  // fields (route_cache, batch_forwarding, cover_aggregation,
-  // stream_metrics, ancestor_probing, trace_sample_rate) live here now —
-  // see DESIGN.md, "Runner configuration".
+  // pub/sub system — passed through verbatim (replicas, reliability, route
+  // cache, batching, cover aggregation, streaming metrics, transfer
+  // knobs...). The runner only overrides bootstrap (it always
+  // oracle-builds, with `setup_threads` workers) and stream_event_metrics
+  // plumbing it already owns. The former mirrored fields (route_cache,
+  // batch_forwarding, cover_aggregation, stream_metrics,
+  // trace_sample_rate) live here now — see DESIGN.md, "Runner
+  // configuration".
   core::HyperSubSystem::Config system;
   // load balancing
   bool load_balancing = false;
@@ -56,13 +56,6 @@ struct ExperimentConfig {
   // tracing (observability; off unless a tracer is supplied — the sample
   // rate is system.trace_sample_rate)
   trace::Tracer* tracer = nullptr;   ///< span recorder for the whole stack
-  // parallel engine (defaults = sequential, zero-lookahead: seed behavior)
-  unsigned sim_threads = 1;    ///< worker threads; >1 enables sharded runs
-  double lookahead_ms = 0.0;   ///< min network latency = safe window width
-  /// Derive each window's width from the minimum outstanding link latency
-  /// instead of the fixed lookahead_ms floor (identical event order in
-  /// sequential and parallel modes; see sim::Simulator).
-  bool adaptive_lookahead = false;
   // setup fast path (million-subscription scale-out)
   /// Install subscriptions through HyperSubSystem::bulk_subscribe (direct
   /// oracle installation + one piece fixpoint) instead of simulating the

@@ -8,8 +8,7 @@
 // Tasks (each Task move is an indirect call), and a Task is moved exactly
 // once in (push) and once out (pop). Slots are allocated in blocks of
 // doubling size (16, 32, 64, ...), so growing the table never relocates a
-// pending Task either, and a queue that stays small (one parallel-engine
-// shard) stays small.
+// pending Task either, and a queue that stays small stays small.
 //
 // seq is unique per Simulator, so (when, seq) is a strict total order and
 // the pop sequence is fully determined by the pushed keys.
@@ -29,11 +28,10 @@ namespace hypersub::sim {
 /// Virtual time in milliseconds since simulation start.
 using Time = double;
 
-/// Execution shard. Events tagged with the same shard execute in mutual
-/// (when, seq) order even in parallel mode; layers tag events with the
-/// index of the host whose state the callback touches. kNoShard marks
-/// *exclusive* events (control plane: driver closures, maintenance ticks)
-/// that run alone between windows and may touch any state.
+/// Execution shard: layers tag events with the index of the host whose
+/// state the callback touches. kNoShard marks *exclusive* events (control
+/// plane: driver closures, maintenance ticks). The tag does not affect
+/// execution order; the tracer mints ids per shard (Tracer::context_index).
 using Shard = std::uint32_t;
 inline constexpr Shard kNoShard = 0xffffffffu;
 

@@ -25,9 +25,7 @@ namespace hypersub::trace {
 /// installation, one migration handoff). 0 = not traced.
 using TraceId = std::uint64_t;
 /// Identifies one span within a Tracer. 0 = none. Ids encode the execution
-/// context (shard) that allocated them in the high bits, so the parallel
-/// engine can mint them without coordination and still match a sequential
-/// run bit-for-bit.
+/// context (shard) that allocated them in the high bits.
 using SpanId = std::uint64_t;
 
 inline constexpr TraceId kNoTrace = 0;

@@ -43,9 +43,9 @@ std::uint64_t mix(std::uint64_t x) noexcept {
 constexpr unsigned kCtxShift = 40;
 
 /// Ambient trace context. Thread-local rather than a tracer member so that
-/// parallel workers (and run_experiments_parallel's per-experiment threads)
-/// each see their own slot; the set/take pair is always synchronous within
-/// one event execution on one thread.
+/// run_experiments_parallel's per-experiment threads each see their own
+/// slot; the set/take pair is always synchronous within one event
+/// execution.
 thread_local TraceCtx g_ambient;
 
 }  // namespace
@@ -93,31 +93,12 @@ std::uint64_t Tracer::traces_started() const noexcept {
   return n;
 }
 
-void Tracer::append(const Span& s) {
-  if (spans_.size() >= cfg_.max_spans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  index_.emplace(s.id, spans_.size());
-  spans_.push_back(s);
-}
-
-void Tracer::set_end(SpanId id, double end_ms) {
-  if (const auto it = index_.find(id); it != index_.end()) {
-    spans_[it->second].end_ms = end_ms;
-  }
-}
-
 SpanId Tracer::begin(TraceId trace, SpanId parent, SpanKind kind,
                      net::HostIndex node, double start_ms, std::uint64_t a,
                      std::uint64_t b) {
   if (trace == kNoTrace) return kNoSpan;
-  // Approximate admission check: spans_ is only mutated at window barriers
-  // (or directly in sequential mode), so reading its size from a worker is
-  // race-free but does not count same-window pending appends; append()
-  // re-checks the cap so the bound itself is hard.
   if (spans_.size() >= cfg_.max_spans) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+    ++dropped_;
     return kNoSpan;
   }
   const std::size_t ctx = context_index();
@@ -133,20 +114,15 @@ SpanId Tracer::begin(TraceId trace, SpanId parent, SpanKind kind,
   s.end_ms = -1.0;
   s.a = a;
   s.b = b;
-  if (sim_ != nullptr && sim_->in_worker_context()) {
-    sim_->defer_ordered([this, s] { append(s); });
-  } else {
-    append(s);
-  }
+  index_.emplace(id, spans_.size());
+  spans_.push_back(s);
   return id;
 }
 
 void Tracer::end(SpanId id, double end_ms) {
   if (id == kNoSpan) return;
-  if (sim_ != nullptr && sim_->in_worker_context()) {
-    sim_->defer_ordered([this, id, end_ms] { set_end(id, end_ms); });
-  } else {
-    set_end(id, end_ms);
+  if (const auto it = index_.find(id); it != index_.end()) {
+    spans_[it->second].end_ms = end_ms;
   }
 }
 

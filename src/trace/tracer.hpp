@@ -11,21 +11,15 @@
 //   * deterministic — trace/span ids come from per-execution-context
 //     counters (the context is the shard of the event doing the recording,
 //     or 0 for main-context work and unbound tracers) encoded into the id's
-//     high bits, and the sampling decision is a pure hash of the id. A
-//     sequential run and a parallel run therefore mint identical ids, and
-//     two runs with the same seed and config produce byte-identical span
-//     logs.
+//     high bits, and the sampling decision is a pure hash of the id, so two
+//     runs with the same seed and config produce byte-identical span logs.
 //   * bounded — spans append to a flat vector capped at max_spans; beyond
 //     the cap new spans are refused (dropped_spans counts them) so a long
 //     churn run cannot OOM the harness.
 //
 // The tracer is shared by every layer of one system instance (pub/sub
-// core, reliable channel, Chord routing, load balancer). Under the parallel
-// engine, id allocation is per-context (no two workers share a context's
-// counters) and span-log mutation is deferred to the window barrier via
-// Simulator::defer_ordered, so the log order matches sequential execution.
+// core, reliable channel, Chord routing, load balancer).
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -56,10 +50,7 @@ inline Tracer* maybe(Tracer* t) noexcept;
 class Tracer {
  public:
   struct Config {
-    /// Hard cap on recorded spans (memory bound for long runs). Note: under
-    /// the parallel engine, which spans are refused when the cap is hit
-    /// mid-window is the one thing that is not byte-stable; size max_spans
-    /// above the workload so the cap never engages in comparisons.
+    /// Hard cap on recorded spans (memory bound for long runs).
     std::size_t max_spans = std::size_t{1} << 22;
   };
 
@@ -70,9 +61,8 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Attach this tracer to a simulator so ids are minted per execution
-  /// context and span-log mutations from worker contexts are deferred to
-  /// the window barrier. `max_shards` is the number of shards (hosts) the
-  /// simulation uses. Unbound tracers record directly with context 0.
+  /// context. `max_shards` is the number of shards (hosts) the simulation
+  /// uses. Unbound tracers record with context 0.
   void bind(sim::Simulator* sim, std::size_t max_shards);
 
   // -- trace lifecycle -------------------------------------------------------
@@ -81,7 +71,7 @@ class Tracer {
   /// whether to record it: returns the id if sampled, kNoTrace otherwise.
   /// The context's counter advances either way, so changing the sample rate
   /// never renumbers the traces that are kept (stable ids across rates,
-  /// byte-stable across runs and across thread counts). `sample_rate` in
+  /// byte-stable across runs). `sample_rate` in
   /// [0,1] is typically Config::trace_sample_rate of the system being
   /// traced.
   TraceId start_trace(double sample_rate);
@@ -117,9 +107,7 @@ class Tracer {
   /// Traces allocated so far (sampled or not), across all contexts.
   std::uint64_t traces_started() const noexcept;
   /// Spans refused because the max_spans cap was reached.
-  std::uint64_t dropped_spans() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped_spans() const noexcept { return dropped_; }
   const Config& config() const noexcept { return cfg_; }
 
   /// Drop all recorded spans (e.g. after warm-up). Trace/span id counters
@@ -127,7 +115,7 @@ class Tracer {
   void reset() {
     spans_.clear();
     index_.clear();
-    dropped_.store(0, std::memory_order_relaxed);
+    dropped_ = 0;
   }
 
   // -- checkpointing ---------------------------------------------------------
@@ -139,7 +127,7 @@ class Tracer {
     for (const std::uint64_t c : trace_ctr_) w.u64(c);
     w.u32(std::uint32_t(span_ctr_.size()));
     for (const std::uint64_t c : span_ctr_) w.u64(c);
-    w.u64(dropped_.load(std::memory_order_relaxed));
+    w.u64(dropped_);
     w.u64(spans_.size());
     for (const Span& s : spans_) {
       w.u64(s.trace);
@@ -159,7 +147,7 @@ class Tracer {
     for (std::uint64_t& c : trace_ctr_) c = r.u64();
     span_ctr_.assign(r.u32(), 0);
     for (std::uint64_t& c : span_ctr_) c = r.u64();
-    dropped_.store(r.u64(), std::memory_order_relaxed);
+    dropped_ = r.u64();
     spans_.clear();
     index_.clear();
     const std::size_t n = std::size_t(r.u64());
@@ -185,19 +173,16 @@ class Tracer {
   // context parameter without breaking every substrate. Instead the caller
   // parks the context here immediately before the route() call and the
   // substrate reads it synchronously (nothing can interleave within one
-  // event execution, and the slot is thread-local so parallel workers do
-  // not share it). Cleared by the reader.
+  // event execution, and the slot is thread-local so simulations running
+  // on separate threads do not share it). Cleared by the reader.
 
   static void set_ambient(TraceCtx ctx) noexcept;
   static TraceCtx take_ambient() noexcept;
 
  private:
   /// 0 for main-context / exclusive / unbound recording, shard+1 for
-  /// events executing on a shard. Identical in sequential and parallel
-  /// runs because both track the executing event's shard.
+  /// events executing on a shard.
   std::size_t context_index() const noexcept;
-  void append(const Span& s);
-  void set_end(SpanId id, double end_ms);
 
   Config cfg_;
   std::vector<Span> spans_;
@@ -205,7 +190,7 @@ class Tracer {
   sim::Simulator* sim_ = nullptr;
   std::vector<std::uint64_t> trace_ctr_{0};  ///< per-context trace counters
   std::vector<std::uint64_t> span_ctr_{0};   ///< per-context span counters
-  std::atomic<std::uint64_t> dropped_{0};
+  std::uint64_t dropped_ = 0;
 };
 
 inline Tracer* maybe(Tracer* t) noexcept {

@@ -207,7 +207,6 @@ Stack make_stack(std::size_t n, HyperSubSystem::Config sc = {},
 struct ExactnessCase {
   int base_bits;
   bool rotate;
-  bool ancestor_probing;
   bool subschemes;
   const char* name;
 };
@@ -216,9 +215,7 @@ class ExactnessTest : public ::testing::TestWithParam<ExactnessCase> {};
 
 TEST_P(ExactnessTest, DeliveriesEqualBruteForce) {
   const auto param = GetParam();
-  HyperSubSystem::Config sc;
-  sc.ancestor_probing = param.ancestor_probing;
-  auto s = make_stack(80, sc, 3);
+  auto s = make_stack(80, {}, 3);
 
   workload::WorkloadGenerator gen(workload::table1_spec(), 17);
   SchemeOptions opt;
@@ -283,13 +280,12 @@ TEST_P(ExactnessTest, DeliveriesEqualBruteForce) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, ExactnessTest,
     ::testing::Values(
-        ExactnessCase{1, true, false, false, "base2"},
-        ExactnessCase{2, true, false, false, "base4"},
-        ExactnessCase{4, true, false, false, "base16"},
-        ExactnessCase{1, false, false, false, "base2_norot"},
-        ExactnessCase{1, true, true, false, "base2_probing"},
-        ExactnessCase{1, true, false, true, "base2_subschemes"},
-        ExactnessCase{2, true, true, true, "base4_probing_subschemes"}),
+        ExactnessCase{1, true, false, "base2"},
+        ExactnessCase{2, true, false, "base4"},
+        ExactnessCase{4, true, false, "base16"},
+        ExactnessCase{1, false, false, "base2_norot"},
+        ExactnessCase{1, true, true, "base2_subschemes"},
+        ExactnessCase{2, true, true, "base4_subschemes"}),
     [](const auto& tinfo) { return std::string(tinfo.param.name); });
 
 TEST(HyperSub, EventMetricsRecorded) {

@@ -215,40 +215,5 @@ TEST(Integration, RotationSpreadsSchemesAcrossNodes) {
       << "rotation failed to separate the schemes' root zones";
 }
 
-// Ancestor-probing mode must agree with the default mechanism event by
-// event (same matched sets; different cost profile).
-TEST(Integration, AncestorProbingAgreesWithPieces) {
-  std::vector<std::size_t> matched_default, matched_probing;
-  for (const bool probing : {false, true}) {
-    core::HyperSubSystem::Config sc;
-    sc.ancestor_probing = probing;
-    auto s = make_stack(40, 21, oracle_cfg(sc));
-    workload::WorkloadGenerator gen(workload::table1_spec(), 23);
-    core::SchemeOptions opt;
-    opt.zone_cfg = {1, 20};
-    const auto scheme = s.sys->add_scheme(gen.scheme(), opt);
-    Rng rng(25);
-    for (int i = 0; i < 120; ++i) {
-      s.sys->subscribe(net::HostIndex(rng.index(40)), scheme,
-                       gen.make_subscription());
-    }
-    s.sim->run();
-    for (int i = 0; i < 60; ++i) {
-      s.sys->publish(net::HostIndex(rng.index(40)), scheme, gen.make_event());
-    }
-    s.sim->run();
-    s.sys->finalize_events();
-    // Records finalize in delivery-completion order, which differs between
-    // the two mechanisms; compare by event sequence number.
-    std::map<std::uint64_t, std::size_t> by_seq;
-    for (const auto& r : s.sys->event_metrics().records()) {
-      by_seq[r.seq] = r.matched;
-    }
-    auto& out = probing ? matched_probing : matched_default;
-    for (const auto& [seq, matched] : by_seq) out.push_back(matched);
-  }
-  EXPECT_EQ(matched_default, matched_probing);
-}
-
 }  // namespace
 }  // namespace hypersub

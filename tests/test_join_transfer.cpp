@@ -3,7 +3,7 @@
 // (snapshot + write-behind replay), a graceful leave must push everything
 // to the successor before departing, and the whole-run checkpoint must be
 // transparent — a run restored mid-flight finishes byte-identical to the
-// uninterrupted run, at any worker-thread count.
+// uninterrupted run.
 
 #include <gtest/gtest.h>
 
@@ -27,8 +27,6 @@ namespace {
 struct StackOpts {
   std::size_t hosts = 32;
   std::uint64_t seed = 1;
-  unsigned threads = 1;
-  double lookahead = 0.0;
   std::size_t replicas = 0;
   bool reliable = false;
   /// Host killed before the overlay is built (starts outside the ring).
@@ -53,8 +51,6 @@ Stack make_stack(const StackOpts& o) {
   tp.seed = o.seed;
   s.topo = std::make_unique<net::KingLikeTopology>(tp);
   s.sim = std::make_unique<sim::Simulator>();
-  s.sim->set_threads(o.threads);
-  s.sim->set_lookahead(o.lookahead);
   s.net = std::make_unique<net::Network>(*s.sim, *s.topo);
   if (o.pre_kill != overlay::Peer::kInvalidHost) s.net->kill(o.pre_kill);
   chord::ChordNet::Params cp;
@@ -280,10 +276,10 @@ TEST(JoinTransfer, LeaveMovesStateThenRejoinRestoresIt) {
 /// the interrupted variant serializes everything, rebuilds a fresh stack
 /// (BootstrapMode::kNone — the blob carries the ring), restores, and
 /// finishes the identical schedule. Returns the final checkpoint blob.
-std::vector<std::uint8_t> scripted_run(unsigned threads, bool interrupt) {
+std::vector<std::uint8_t> scripted_run(bool interrupt) {
   constexpr std::size_t kEvents = 24;
   constexpr std::size_t kCut = 12;
-  const StackOpts base{.seed = 7, .threads = threads, .lookahead = 5.0};
+  const StackOpts base{.seed = 7};
 
   Stack s = make_stack(base);
   trace::Tracer tracer;
@@ -342,22 +338,12 @@ std::vector<std::uint8_t> scripted_run(unsigned threads, bool interrupt) {
 }
 
 TEST(JoinTransfer, CheckpointRestoreIsByteIdentical) {
-  std::vector<std::uint8_t> reference;
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    const auto uninterrupted = scripted_run(threads, /*interrupt=*/false);
-    const auto resumed = scripted_run(threads, /*interrupt=*/true);
-    ASSERT_FALSE(uninterrupted.empty());
-    // A checkpointed-and-restored run is indistinguishable from one that
-    // never stopped...
-    EXPECT_EQ(uninterrupted, resumed) << "threads=" << threads;
-    // ...and the parallel engine keeps its byte-identity contract through
-    // the checkpoint path too.
-    if (reference.empty()) {
-      reference = uninterrupted;
-    } else {
-      EXPECT_EQ(reference, uninterrupted) << "threads=" << threads;
-    }
-  }
+  const auto uninterrupted = scripted_run(/*interrupt=*/false);
+  const auto resumed = scripted_run(/*interrupt=*/true);
+  ASSERT_FALSE(uninterrupted.empty());
+  // A checkpointed-and-restored run is indistinguishable from one that
+  // never stopped.
+  EXPECT_EQ(uninterrupted, resumed);
 }
 
 // --- delivery through churn ----------------------------------------------

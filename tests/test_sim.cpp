@@ -189,109 +189,30 @@ TEST(Simulator, NegativeDelayKeepsFifoWithExistingEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// --- parallel engine ----------------------------------------------------
+// --- shard tags ----------------------------------------------------------
 
-TEST(SimulatorParallel, ShardedRunMatchesSequentialOrder) {
-  // The same cross-shard workload executed sequentially and with a worker
-  // pool must produce the same observable mutation order. Observations go
-  // through defer_ordered, the engine's mechanism for totally-ordered side
-  // effects.
-  const auto run_one = [](unsigned threads) {
-    Simulator s;
-    s.set_threads(threads);
-    s.set_lookahead(2.0);
-    std::vector<std::pair<Shard, double>> log;
-    for (Shard sh = 0; sh < 8; ++sh) {
-      s.schedule_on(sh, double(sh % 3), [&s, &log, sh] {
-        EXPECT_EQ(s.current_shard(), sh);
-        s.defer_ordered([&s, &log, sh] { log.emplace_back(sh, s.now()); });
-        // Ping a neighbor shard; cross-shard sends respect the lookahead.
-        s.schedule_on((sh + 1) % 8, s.lookahead(), [&s, &log] {
-          s.defer_ordered(
-              [&s, &log] { log.emplace_back(s.current_shard(), s.now()); });
-        });
-      });
-    }
-    s.run();
-    return log;
-  };
-  const auto seq = run_one(1);
-  EXPECT_EQ(seq.size(), 16u);
-  EXPECT_EQ(run_one(4), seq);
-}
-
-TEST(SimulatorParallel, ContextInheritanceAndWorkerSlots) {
+TEST(Simulator, ShardContextInheritance) {
+  // Shard tags do not affect order; they name the executing context (the
+  // tracer mints ids per shard). schedule() inherits the current shard,
+  // driver-side schedules are exclusive (kNoShard).
   Simulator s;
-  s.set_threads(4);
-  s.set_lookahead(1.0);
   bool checked_shard = false, checked_main = false;
+  EXPECT_EQ(s.current_shard(), kNoShard);
   s.schedule_on(3, 0.0, [&] {
-    EXPECT_TRUE(s.in_worker_context());
     EXPECT_EQ(s.current_shard(), Shard{3});
-    EXPECT_GE(s.worker_slot(), 1u);
-    // A plain schedule() from a shard context inherits the shard.
     s.schedule(0.5, [&] {
       EXPECT_EQ(s.current_shard(), Shard{3});
       checked_shard = true;
     });
   });
-  // Exclusive events (main-context schedules) run alone between windows.
   s.schedule(0.25, [&] {
-    EXPECT_FALSE(s.in_worker_context());
     EXPECT_EQ(s.current_shard(), kNoShard);
-    EXPECT_EQ(s.worker_slot(), 0u);
     checked_main = true;
   });
   s.run();
   EXPECT_TRUE(checked_shard);
   EXPECT_TRUE(checked_main);
-}
-
-TEST(SimulatorParallel, ExclusivePinnedEventSeesAllPriorMutations) {
-  // schedule_on(kNoShard, ...) pins an event exclusive: every shard event
-  // before it has executed and merged when it runs (maintenance-tick
-  // pattern).
-  Simulator s;
-  s.set_threads(4);
-  s.set_lookahead(1.0);
-  int done = 0;
-  for (Shard sh = 0; sh < 16; ++sh) {
-    s.schedule_on(sh, 1.0, [&s, &done] {
-      s.defer_ordered([&done] { ++done; });
-    });
-  }
-  bool saw_all = false;
-  s.schedule_on(kNoShard, 5.0, [&] {
-    EXPECT_FALSE(s.in_worker_context());
-    saw_all = done == 16;
-  });
-  s.run();
-  EXPECT_TRUE(saw_all);
-}
-
-TEST(SimulatorParallel, RunUntilStopsAtBoundary) {
-  Simulator s;
-  s.set_threads(2);
-  s.set_lookahead(1.0);
-  int ran = 0;
-  s.schedule_on(0, 1.0, [&s, &ran] { s.defer_ordered([&ran] { ++ran; }); });
-  s.schedule_on(1, 3.0, [&s, &ran] { s.defer_ordered([&ran] { ++ran; }); });
-  EXPECT_EQ(s.run_until(2.0), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(s.now(), 2.0);
-  EXPECT_EQ(s.run(), 1u);
-  EXPECT_EQ(ran, 2);
-}
-
-TEST(SimulatorParallel, DeferOrderedRunsInlineSequentially) {
-  Simulator s;  // threads=1: defer_ordered must apply immediately
-  int x = 0;
-  s.schedule(1.0, [&] {
-    s.defer_ordered([&] { x = 1; });
-    EXPECT_EQ(x, 1);
-  });
-  s.run();
-  EXPECT_EQ(x, 1);
+  EXPECT_EQ(s.current_shard(), kNoShard);
 }
 
 // --- EventQueue ------------------------------------------------------------

@@ -26,8 +26,6 @@ namespace {
 struct StackOpts {
   std::size_t hosts = 32;
   std::uint64_t seed = 1;
-  unsigned threads = 1;
-  double lookahead = 0.0;
   bool compress = true;
   core::BootstrapMode bootstrap = core::BootstrapMode::kOracle;
 };
@@ -49,8 +47,6 @@ Stack make_stack(const StackOpts& o) {
   tp.seed = o.seed;
   s.topo = std::make_unique<net::KingLikeTopology>(tp);
   s.sim = std::make_unique<sim::Simulator>();
-  s.sim->set_threads(o.threads);
-  s.sim->set_lookahead(o.lookahead);
   s.net = std::make_unique<net::Network>(*s.sim, *s.topo);
   chord::ChordNet::Params cp;
   cp.seed = o.seed;
@@ -307,17 +303,15 @@ TEST(ZoneCompress, UncompressedImageRestoresIntoCompressedSystem) {
   EXPECT_EQ(r.sys->zone_content_digest(), w.sys->zone_content_digest());
 }
 
-// --- parallel determinism -------------------------------------------------
+// --- determinism --------------------------------------------------------
 
-// The byte-identity contract survives compression: the same scripted run
-// at 1/2/4/8 worker threads produces byte-identical checkpoints and
-// identical delivery sets.
-TEST(ZoneCompress, ParallelDeterminismWithCompression) {
+// Compression keeps runs reproducible: the same scripted run twice produces
+// byte-identical checkpoints and identical delivery sets.
+TEST(ZoneCompress, CompressedRunIsReproducible) {
   std::vector<std::uint8_t> reference;
   std::vector<DeliveryRow> ref_deliveries;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    Stack s = make_stack({.seed = 21, .threads = threads, .lookahead = 5.0,
-                          .compress = true});
+  for (int run = 0; run < 2; ++run) {
+    Stack s = make_stack({.seed = 21, .compress = true});
     Rng rng(59);
     std::vector<std::pair<net::HostIndex, pubsub::Subscription>> subs;
     for (int i = 0; i < 70; ++i) {
@@ -337,7 +331,7 @@ TEST(ZoneCompress, ParallelDeterminismWithCompression) {
     }
     s.sim->run();
     s.sys->finalize_events();
-    EXPECT_GT(total_chains(s), 0u) << "threads=" << threads;
+    EXPECT_GT(total_chains(s), 0u);
     const auto blob = runner::checkpoint(*s.sys);
     const auto del = delivery_set(s);
     if (reference.empty()) {
@@ -345,8 +339,8 @@ TEST(ZoneCompress, ParallelDeterminismWithCompression) {
       ref_deliveries = del;
       ASSERT_FALSE(reference.empty());
     } else {
-      EXPECT_EQ(blob, reference) << "threads=" << threads;
-      EXPECT_EQ(del, ref_deliveries) << "threads=" << threads;
+      EXPECT_EQ(blob, reference);
+      EXPECT_EQ(del, ref_deliveries);
     }
   }
 }

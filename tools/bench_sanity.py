@@ -34,25 +34,14 @@ Subcommands:
       delivery parity against that baseline is enforced (compression is a
       representation change, not a behavior change).
 
-  sim FRESH.json [--floor T:S ...]
-      Validate a fresh micro_sim run (self-relative): every thread count
-      must have produced the byte-identical snapshot hash (the parallel
-      engine's determinism contract — always enforced), the Task SBO
-      store+invoke must not be slower than std::function, and — only when
-      the host actually has at least as many cores as the thread count —
-      the parallel events/sec must clear the speedup floor over the
-      sequential run (defaults 2:1.3 4:2.0 8:3.0). On a 1-2 core CI box
-      the floors are skipped; determinism is not.
-
   golden COMMITTED.json FRESH.json
-      Re-derive a committed BENCH_sim.json's golden hashes: FRESH.json must
-      come from a micro_sim run at the committed config (same nodes, events
-      and lookahead — the default, non --quick, config), and every
-      committed thread count's snapshot_hash and executed_events must
-      match exactly. Any behaviour change in the engine or the stack above
-      it moves the hash, so this fails loudly instead of letting the
-      committed number go stale. Kept apart from `sim`, whose speedup
-      floors fail on multi-core hosts for unrelated reasons.
+      Re-derive a committed BENCH_sim.json's golden hash: FRESH.json must
+      come from a micro_sim run at the committed config (same nodes and
+      events — the default, non --quick, config), and its snapshot_hash
+      and executed_events must match the committed run exactly. Any
+      behaviour change in the engine or the stack above it moves the hash,
+      so this fails loudly instead of letting the committed number go
+      stale.
 
   trace FRESH.json [--max-overhead F]
       Validate the tracing-overhead contract from the same micro_route
@@ -311,86 +300,10 @@ def cmd_scale(args):
 
 
 # ---------------------------------------------------------------------------
-# sim: parallel engine determinism (always) + speedup floors (cores permitting)
+# golden: committed micro_sim hash re-derived at the committed config
 # ---------------------------------------------------------------------------
 
-def parse_floors(specs):
-    floors = {}
-    for spec in specs:
-        threads, _, factor = spec.partition(":")
-        floors[int(threads)] = float(factor)
-    return floors
-
-
-def cmd_sim(args):
-    doc = load_json(args.fresh)
-    runs = {r["threads"]: r for r in doc.get("runs", [])}
-    if 1 not in runs:
-        sys.exit(f"error: {args.fresh} has no sequential (threads=1) run")
-    cores = doc.get("host", {}).get("cores",
-                                    doc.get("hardware_concurrency", 0))
-    floors = parse_floors(args.floor)
-    seq = runs[1]
-
-    print(f"sim engine ({doc.get('nodes')} nodes, {doc.get('events')} "
-          f"events, lookahead {doc.get('lookahead_ms')} ms, "
-          f"{cores} cores):")
-
-    failures = []
-
-    # Determinism: byte-identical output regardless of thread count.
-    hashes = {t: r["snapshot_hash"] for t, r in sorted(runs.items())}
-    for t, h in hashes.items():
-        marker = "" if h == seq["snapshot_hash"] else "  <-- DIVERGES"
-        print(f"  threads={t}: hash {h}{marker}")
-    if not doc.get("deterministic", False) or \
-            any(h != seq["snapshot_hash"] for h in hashes.values()):
-        failures.append("parallel run is not byte-identical to sequential")
-
-    # Task SBO: inlining the dominant capture shape must beat the
-    # heap-allocating std::function path.
-    sbo = doc.get("task_sbo", {})
-    if sbo:
-        print(f"  task SBO: {sbo['ns_per_op_task']:.1f} ns vs "
-              f"std::function {sbo['ns_per_op_function']:.1f} ns "
-              f"({sbo.get('speedup', 0.0):.2f}x), "
-              f"engine {sbo.get('engine_ns_per_event', 0.0):.0f} ns/event")
-        if not sbo.get("capture_fits_inline", False):
-            failures.append("dominant capture shape no longer fits inline")
-        if sbo["ns_per_op_task"] > sbo["ns_per_op_function"]:
-            failures.append("Task store+invoke slower than std::function")
-    else:
-        failures.append("json lacks task_sbo section (rerun bench/micro_sim)")
-
-    # Speedup floors: only meaningful when the host has the cores.
-    for threads, floor in sorted(floors.items()):
-        if threads not in runs:
-            continue
-        speedup = runs[threads]["events_per_sec"] / seq["events_per_sec"]
-        if cores >= threads:
-            verdict = "ok" if speedup >= floor else "FAIL"
-            print(f"  threads={threads}: {speedup:.2f}x "
-                  f"(floor {floor:.1f}x) {verdict}")
-            if speedup < floor:
-                failures.append(f"threads={threads} speedup {speedup:.2f}x "
-                                f"below floor {floor:.1f}x")
-        else:
-            print(f"  threads={threads}: {speedup:.2f}x "
-                  f"(floor skipped: host has {cores} cores)")
-
-    for msg in failures:
-        print(f"FAIL: {msg}")
-    if failures:
-        return 1
-    print("OK")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# golden: committed micro_sim hashes re-derived at the committed config
-# ---------------------------------------------------------------------------
-
-GOLDEN_CONFIG_KEYS = ("nodes", "events", "lookahead_ms")
+GOLDEN_CONFIG_KEYS = ("nodes", "events")
 
 
 def cmd_golden(args):
@@ -402,27 +315,23 @@ def cmd_golden(args):
             failures.append(f"config {key}: committed {committed.get(key)} "
                             f"vs fresh {fresh.get(key)} (rerun micro_sim "
                             f"at the committed config)")
-    fresh_runs = {r["threads"]: r for r in fresh.get("runs", [])}
-    committed_runs = committed.get("runs", [])
-    if not committed_runs:
-        failures.append(f"{args.committed} has no runs")
+    want = committed.get("run")
+    got = fresh.get("run")
     print(f"golden micro_sim ({committed.get('nodes')} nodes, "
-          f"{committed.get('events')} events, lookahead "
-          f"{committed.get('lookahead_ms')} ms):")
-    for run in committed_runs:
-        t = run["threads"]
-        got = fresh_runs.get(t)
-        if got is None:
-            failures.append(f"threads={t}: no fresh run")
-            continue
-        ok = (got["snapshot_hash"] == run["snapshot_hash"] and
-              got["executed_events"] == run["executed_events"])
-        print(f"  threads={t}: hash {got['snapshot_hash']} "
+          f"{committed.get('events')} events):")
+    if want is None:
+        failures.append(f"{args.committed} has no run")
+    elif got is None:
+        failures.append(f"{args.fresh} has no run")
+    else:
+        ok = (got["snapshot_hash"] == want["snapshot_hash"] and
+              got["executed_events"] == want["executed_events"])
+        print(f"  hash {got['snapshot_hash']} "
               f"events {got['executed_events']} "
-              f"(committed {run['snapshot_hash']} "
-              f"events {run['executed_events']}) {'ok' if ok else 'FAIL'}")
+              f"(committed {want['snapshot_hash']} "
+              f"events {want['executed_events']}) {'ok' if ok else 'FAIL'}")
         if not ok:
-            failures.append(f"threads={t}: golden hash/events drifted")
+            failures.append("golden hash/events drifted")
     for msg in failures:
         print(f"FAIL: {msg}")
     if failures:
@@ -596,17 +505,8 @@ def main():
                          "the pre-compression baseline (default 0.25)")
     sc.set_defaults(fn=cmd_scale)
 
-    s = sub.add_parser("sim", help="parallel engine determinism + speedup")
-    s.add_argument("fresh", help="freshly produced BENCH_sim.json")
-    s.add_argument("--floor", action="append",
-                   default=["2:1.3", "4:2.0", "8:3.0"],
-                   help="THREADS:SPEEDUP floor, repeatable "
-                        "(defaults 2:1.3 4:2.0 8:3.0; enforced only when "
-                        "the host has >= THREADS cores)")
-    s.set_defaults(fn=cmd_sim)
-
     g = sub.add_parser("golden",
-                       help="committed micro_sim hashes re-derived")
+                       help="committed micro_sim hash re-derived")
     g.add_argument("committed", help="committed BENCH_sim.json")
     g.add_argument("fresh", help="micro_sim json at the committed config")
     g.set_defaults(fn=cmd_golden)
