@@ -21,6 +21,8 @@
 #include "chord/chord_net.hpp"
 #include "core/hypersub_system.hpp"
 #include "core/load_balancer.hpp"
+#include "metrics/fastlane_metrics.hpp"
+#include "metrics/reliability_metrics.hpp"
 #include "metrics/snapshot.hpp"
 #include "net/topology.hpp"
 #include "trace/export.hpp"
@@ -37,6 +39,8 @@ struct RunOutput {
   std::string span_jsonl;
   std::uint64_t traces_started = 0;
   std::size_t deliveries = 0;
+  metrics::ReliabilityCounters rel;
+  metrics::BatchCounters batch;
 };
 
 struct RunOpts {
@@ -121,6 +125,8 @@ RunOutput run_once(RunOpts o) {
   out.span_jsonl = jsonl.str();
   out.traces_started = tracer.traces_started();
   out.deliveries = sys.deliveries().size();
+  out.rel = sys.reliability_counters();
+  out.batch = sys.batch_counters();
   return out;
 }
 
@@ -173,6 +179,23 @@ TEST(Determinism, ChurnWithReliabilityIsReproducible) {
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
   expect_pinned(a, 0xc25bd3ffbee8ff60ull, 0xcf3397b03f3d47a0ull);
+}
+
+TEST(Determinism, ReliableBatchedChurnIsReproducible) {
+  // Multi-chunk frames through the reliable channel: acks, expiry at dead
+  // hops, and per-chunk reroutes of batched event messages.
+  const RunOpts o{.reliable = true,
+                  .replicas = 2,
+                  .cache = true,
+                  .batch = true,
+                  .churn = true};
+  const auto a = run_once(o);
+  expect_identical(a, run_once(o));
+  // The scenario must actually drive the path it pins.
+  EXPECT_GT(a.batch.chunks, a.batch.frames);
+  EXPECT_GT(a.rel.expirations, 0u);
+  EXPECT_GT(a.rel.reroutes, 0u);
+  expect_pinned(a, 0xac84c1689c5ae822ull, 0x7da9be0757ed6a65ull);
 }
 
 TEST(Determinism, CoverAggregationRunIsReproducible) {

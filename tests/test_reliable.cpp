@@ -9,6 +9,8 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "chord/chord_net.hpp"
 #include "core/hypersub_system.hpp"
@@ -208,6 +210,57 @@ TEST(ReliableRouting, SubscribeSurvivesDeadOwnerAndEventsDeliver) {
   s.sys->finalize_events();
   ASSERT_EQ(s.sys->deliveries().size(), 1u);
   EXPECT_EQ(s.sys->deliveries()[0].subscriber, subscriber);
+}
+
+TEST(ReliableDelivery, FrameDeliveredThenExpiredReroutesNothing) {
+  // Uniform 10 ms one-way latency and a 15 ms ack deadline with no
+  // retries: every event frame is delivered (10 ms) before its ack could
+  // return (20 ms), so every frame also expires at its sender. A delivered
+  // frame's subids are consumed: the expiry must reroute none of them, or
+  // the receiver's subtree would be processed twice.
+  constexpr std::size_t kHosts = 24;
+  std::vector<std::vector<double>> oneway(kHosts,
+                                          std::vector<double>(kHosts, 10.0));
+  for (std::size_t i = 0; i < kHosts; ++i) oneway[i][i] = 0.0;
+  net::MatrixTopology topo(std::move(oneway));
+  sim::Simulator sim;
+  net::Network net(sim, topo);
+  chord::ChordNet::Params cp;
+  cp.seed = 5;
+  chord::ChordNet chord(net, cp);
+  HyperSubSystem::Config sc;
+  sc.bootstrap = core::BootstrapMode::kOracle;
+  sc.reliable_delivery = true;
+  sc.reliable.ack_timeout_ms = 15.0;
+  sc.reliable.max_retries = 0;
+  HyperSubSystem sys(chord, sc);
+
+  workload::WorkloadGenerator gen(workload::tiny_spec(), 9);
+  core::SchemeOptions opt;
+  opt.zone_cfg = lph::ZoneSystem::Config::for_dims(2);
+  const auto scheme = sys.add_scheme(gen.scheme(), opt);
+  Rng rng(11);
+  for (int i = 0; i < 80; ++i) {
+    sys.subscribe(net::HostIndex(rng.index(kHosts)), scheme,
+                  gen.make_subscription());
+  }
+  sim.run();
+  for (int i = 0; i < 20; ++i) {
+    sys.publish(net::HostIndex(rng.index(kHosts)), scheme, gen.make_event());
+  }
+  sim.run();
+  sys.finalize_events();
+
+  const auto c = sys.reliability_counters();
+  ASSERT_GT(c.expirations, 0u);  // frames really were delivered, then expired
+  EXPECT_GT(sys.deliveries().size(), 0u);
+  EXPECT_EQ(c.reroutes, 0u);
+  EXPECT_EQ(c.duplicates_suppressed, 0u);
+  std::set<std::tuple<std::uint64_t, net::HostIndex, std::uint32_t>> seen;
+  for (const auto& d : sys.deliveries()) {
+    EXPECT_TRUE(seen.insert({d.event_seq, d.subscriber, d.iid}).second)
+        << "duplicate delivery of event " << d.event_seq;
+  }
 }
 
 // ---------------------------------------------------------------------------
