@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
 
 namespace hypersub::can {
 
@@ -144,17 +145,19 @@ void CanNet::region_multicast(
   flood->on_done = std::move(on_done);
 
   // Recursive spreader: visit, then forward to unvisited overlapping
-  // neighbors.
+  // neighbors. It refers to itself weakly — a strong self-capture is a
+  // reference cycle that leaks every flood; the in-flight sends (and the
+  // initial route callback) keep it alive.
   auto spread = std::make_shared<std::function<void(net::HostIndex, int)>>();
-  *spread = [this, flood, region, bytes, spread](net::HostIndex at,
-                                                 int hops) {
+  *spread = [this, flood, region, bytes,
+             self = std::weak_ptr(spread)](net::HostIndex at, int hops) {
     flood->max_hops = std::max(flood->max_hops, hops);
     flood->on_visit(at, hops);
     for (const net::HostIndex nb : nodes_[at].neighbors) {
       if (!nodes_[nb].zone.overlaps(region)) continue;
       if (!flood->visited.insert(nb).second) continue;
       ++flood->outstanding;
-      net_.send(at, nb, bytes, [flood, spread, nb, hops] {
+      net_.send(at, nb, bytes, [flood, spread = self.lock(), nb, hops] {
         (*spread)(nb, hops + 1);
         --flood->outstanding;
         if (flood->outstanding == 0 && flood->on_done) {

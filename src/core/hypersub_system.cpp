@@ -4,12 +4,44 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <new>
 #include <set>
+#include <span>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "core/state_wire.hpp"
 
 namespace hypersub::core {
+
+namespace {
+
+// Orders next-hop-resolved subids into per-hop groups without allocating
+// (std::stable_sort takes a temporary buffer): by hop, then — under cover
+// aggregation — by target so same-subscriber runs sit adjacent for the
+// grouped wire encoding (subid_list_wire_bytes), then by original
+// position. The key is unique, so the order is exactly the stable one.
+template <class R>
+void sort_by_hop(std::vector<R>& routed, bool by_target) {
+  std::sort(routed.begin(), routed.end(), [by_target](const R& a, const R& b) {
+    if (a.host != b.host) return a.host < b.host;
+    if (by_target && a.subid.target != b.subid.target) {
+      return a.subid.target < b.subid.target;
+    }
+    return a.pos < b.pos;
+  });
+}
+
+/// End of the next-hop group of a sorted Routed list that starts at `i`.
+template <class R>
+std::size_t group_end(const std::vector<R>& routed, std::size_t i) {
+  std::size_t j = i;
+  while (j < routed.size() && routed[j].host == routed[i].host) ++j;
+  return j;
+}
+
+}  // namespace
 
 HyperSubSystem::HyperSubSystem(overlay::Overlay& dht, Config cfg)
     : dht_(dht), cfg_(cfg), channel_(dht.network(), cfg.reliable) {
@@ -1227,7 +1259,7 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
   // skip the greedy route and are handed straight to that owner (fast
   // lane); the rest ride normal routing from the publisher.
   std::vector<SubId> list;
-  std::vector<std::pair<net::HostIndex, SubId>> direct;
+  std::vector<Routed> direct;
   ctx->rendezvous.reserve(rt.subscheme_count());
   for (std::uint32_t i = 0; i < rt.subscheme_count(); ++i) {
     const Subscheme& ss = rt.subscheme(i);
@@ -1246,27 +1278,22 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
         tr->point(ctx->trace, ctx->root, trace::SpanKind::kCacheHit,
                   publisher, simulator().now(), std::uint64_t(cached));
       }
-      direct.emplace_back(cached, rendezvous);
+      direct.push_back(
+          Routed{cached, rendezvous, std::uint32_t(direct.size())});
     } else {
       list.push_back(rendezvous);
     }
   }
 
-  std::stable_sort(direct.begin(), direct.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  sort_by_hop(direct, false);
   for (std::size_t i = 0; i < direct.size();) {
-    const net::HostIndex to = direct[i].first;
-    std::size_t j = i;
-    while (j < direct.size() && direct[j].first == to) ++j;
-    auto sublist = std::make_shared<std::vector<SubId>>();
-    sublist->reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) sublist->push_back(direct[k].second);
+    const net::HostIndex to = direct[i].host;
+    const std::size_t j = group_end(direct, i);
+    ChunkPtr chunk = make_chunk(ctx, 0, overlay::Peer::kInvalidHost,
+                                std::span(direct).subspan(i, j - i));
     i = j;
     ++t.outstanding;
-    forward_event(publisher, to, ctx, std::move(sublist), 0,
-                  overlay::Peer::kInvalidHost, ctx->root);
+    forward_event(publisher, to, std::move(chunk), ctx->root);
   }
 
   if (!list.empty()) {
@@ -1276,8 +1303,8 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
     // zones, scratch, and forwarding queues).
     simulator().schedule_on(publisher, 0.0,
                             [this, publisher, ctx = std::move(ctx),
-                             list = std::move(list)]() mutable {
-      process_event_message(publisher, ctx, std::move(list), 0, ctx->root);
+                             list = std::move(list)] {
+      process_event_message(publisher, ctx, list, 0, ctx->root);
     });
   }
   return seq;
@@ -1285,7 +1312,7 @@ std::uint64_t HyperSubSystem::publish(net::HostIndex publisher,
 
 void HyperSubSystem::process_event_message(net::HostIndex host,
                                            const EventCtxPtr& ctx,
-                                           std::vector<SubId> list,
+                                           std::span<const SubId> subids,
                                            int hops, trace::SpanId via) {
   if (WarmState& ws = warm_[host]; ws.warming) {
     // A warming joiner already owns its key range but its zone state is
@@ -1294,16 +1321,17 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
     // after the transferred state lands. Pure forwarding work (no owned
     // subid) proceeds normally.
     bool owned = false;
-    for (const SubId& subid : list) {
+    for (const SubId& subid : subids) {
       if (dht_.owns(host, subid.target)) {
         owned = true;
         break;
       }
     }
     if (owned) {
-      ws.ops.push_back([this, host, ctx, list = std::move(list), hops,
-                        via]() mutable {
-        process_event_message(host, ctx, std::move(list), hops, via);
+      ws.ops.push_back([this, host, ctx,
+                        list = std::vector<SubId>(subids.begin(), subids.end()),
+                        hops, via] {
+        process_event_message(host, ctx, list, hops, via);
       });
       ++join_stats_.events_buffered;
       return;
@@ -1325,16 +1353,18 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
       tr && ctx->trace != trace::kNoTrace) {
     match_span = tr->begin(ctx->trace, via, trace::SpanKind::kMatch, host,
                            simulator().now(), std::uint64_t(hops),
-                           list.size());
+                           subids.size());
   }
 
   // Phase 1 (Alg. 5 lines 3-23): consume subids targeting this node; their
   // matches go back on the worklist because a freshly matched target (a
   // parent zone, a subscriber, a migration acceptor) may be owned by this
-  // very node. `pending` and `matched_keys` are system-held scratch — the
-  // delivery path allocates nothing per message beyond the outgoing
-  // per-neighbor sublists, which the send closures must own anyway.
+  // very node. The worklist, `pending` and `matched_keys` are system-held
+  // scratch — the delivery path allocates nothing per message beyond one
+  // chunk block per outgoing next-hop group, which the frame must own.
   Scratch& scratch = scratch_;
+  std::vector<SubId>& list = scratch.work;
+  list.assign(subids.begin(), subids.end());
   std::vector<SubId>& pending = scratch.pending;
   pending.clear();
   // One zone key can alias a whole rightmost zone chain, and a chain's
@@ -1403,7 +1433,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
                 if (!c.piece.contains(proj)) return;
                 for (int L = c.head_level(); L <= c.tail.level; ++L) {
                   if (c.key_at(L) != subid.target) continue;
-                  if (!zsys.extent(c.member(L, bb)).contains(proj)) break;
+                  if (!zsys.extent_contains(c.member(L, bb), proj)) break;
                   list.push_back(
                       SubId{c.parent_key_at(L), 0, SubIdKind::kZone});
                 }
@@ -1456,7 +1486,7 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
 
   // Phase 2 (Alg. 5 lines 20-29): split the remaining subids across DHT
   // links; all subids sharing a next hop ride in one message. Grouping by
-  // a stable sort over a flat (next hop, subid) vector keeps each group's
+  // a stable order over a flat (next hop, subid) vector keeps each group's
   // subid order identical to the old per-bucket insertion order.
   auto& routed = scratch.routed;
   routed.clear();
@@ -1484,38 +1514,19 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
       }
       continue;
     }
-    routed.emplace_back(next.host, subid);
+    routed.push_back(Routed{next.host, subid, std::uint32_t(routed.size())});
   }
-  // Under cover aggregation the sort additionally orders each hop's sublist
-  // by subid target, so same-subscriber runs sit adjacent for the grouped
-  // wire encoding (subid_list_wire_bytes). Off-path the host-only stable
-  // sort keeps the historical per-group insertion order byte-for-byte.
-  if (cfg_.cover_aggregation) {
-    std::stable_sort(routed.begin(), routed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first != b.first
-                                  ? a.first < b.first
-                                  : a.second.target < b.second.target;
-                     });
-  } else {
-    std::stable_sort(routed.begin(), routed.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-  }
+  sort_by_hop(routed, cfg_.cover_aggregation);
   for (std::size_t i = 0; i < routed.size();) {
-    const net::HostIndex to = routed[i].first;
-    std::size_t j = i;
-    while (j < routed.size() && routed[j].first == to) ++j;
-    auto sublist = std::make_shared<std::vector<SubId>>();
-    sublist->reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
+    const net::HostIndex to = routed[i].host;
+    const std::size_t j = group_end(routed, i);
+    ChunkPtr chunk = make_chunk(ctx, hops, overlay::Peer::kInvalidHost,
+                                std::span(routed).subspan(i, j - i));
     i = j;
     if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
       ++it->second.outstanding;
     }
-    forward_event(host, to, ctx, std::move(sublist), hops,
-                  overlay::Peer::kInvalidHost, match_span);
+    forward_event(host, to, std::move(chunk), match_span);
   }
   if (auto* tr = trace::maybe(tracer_)) {
     tr->end(match_span, simulator().now());
@@ -1530,80 +1541,95 @@ void HyperSubSystem::process_event_message(net::HostIndex host,
   }
 }
 
+void HyperSubSystem::ChunkFree::operator()(FrameChunk* c) const noexcept {
+  c->~FrameChunk();
+  ::operator delete(c);
+}
+
+HyperSubSystem::ChunkPtr HyperSubSystem::make_chunk(
+    const EventCtxPtr& ctx, int hops, net::HostIndex failed,
+    std::span<const Routed> group) {
+  static_assert(std::is_trivially_copyable_v<SubId> &&
+                std::is_trivially_destructible_v<SubId>);
+  static_assert(alignof(SubId) <= alignof(FrameChunk) &&
+                    sizeof(FrameChunk) % alignof(SubId) == 0,
+                "the SubIds after a chunk header must be aligned");
+  void* mem = ::operator new(sizeof(FrameChunk) + group.size() * sizeof(SubId));
+  ChunkPtr c(::new (mem) FrameChunk{ctx, nullptr, hops,
+                                    std::uint32_t(group.size()), failed,
+                                    trace::kNoSpan});
+  SubId* out = c->data();
+  for (const Routed& r : group) {
+    ::new (static_cast<void*>(out++)) SubId(r.subid);
+  }
+  return c;
+}
+
 void HyperSubSystem::forward_event(net::HostIndex host, net::HostIndex to,
-                                   const EventCtxPtr& ctx,
-                                   std::shared_ptr<std::vector<SubId>> sublist,
-                                   int hops, net::HostIndex failed,
-                                   trace::SpanId parent) {
+                                   ChunkPtr chunk, trace::SpanId parent) {
   // The forward span covers the message's time on the wire: opened here at
   // the sender, closed when the receiver takes delivery (or at ack expiry
   // when the hop is dead). It travels with the chunk through batching.
-  trace::SpanId fwd = trace::kNoSpan;
   if (auto* tr = trace::maybe(tracer_);
-      tr && ctx->trace != trace::kNoTrace) {
-    fwd = tr->begin(ctx->trace, parent, trace::SpanKind::kForward, host,
-                    simulator().now(), std::uint64_t(to), sublist->size());
+      tr && chunk->ctx->trace != trace::kNoTrace) {
+    chunk->fwd_span =
+        tr->begin(chunk->ctx->trace, parent, trace::SpanKind::kForward, host,
+                  simulator().now(), std::uint64_t(to), chunk->n);
   }
   if (!cfg_.batch_forwarding) {
-    auto chunks = std::make_shared<std::vector<FrameChunk>>();
-    chunks->push_back(FrameChunk{ctx, std::move(sublist), hops, failed, fwd});
-    send_frame(host, to, std::move(chunks));
+    send_frame(host, to, Frame(std::move(chunk)));
     return;
   }
   // Batched: queue the chunk and flush once this timestep. The simulator
   // breaks equal-time ties FIFO, so the flush scheduled at +0 runs after
   // every already-queued message of this timestep has had its chance to
   // add chunks for the same hop.
-  auto& queue = batches_[host][to];
+  Frame& queue = batches_[host][to];
   if (queue.empty()) {
     simulator().schedule(0.0, [this, host, to] { flush_batch(host, to); });
   }
-  queue.push_back(FrameChunk{ctx, std::move(sublist), hops, failed, fwd});
+  queue.push_back(std::move(chunk));
 }
 
 void HyperSubSystem::flush_batch(net::HostIndex host, net::HostIndex to) {
   auto& mine = batches_[host];
   const auto it = mine.find(to);
   if (it == mine.end() || it->second.empty()) return;
-  auto chunks =
-      std::make_shared<std::vector<FrameChunk>>(std::move(it->second));
+  Frame frame = std::move(it->second);
   mine.erase(it);
-  if (chunks->size() > 1) {
-    batch_.header_bytes_saved += overlay::kHeaderBytes * (chunks->size() - 1);
+  if (const std::size_t k = frame.size(); k > 1) {
+    batch_.header_bytes_saved += overlay::kHeaderBytes * (k - 1);
   }
-  send_frame(host, to, std::move(chunks));
+  send_frame(host, to, std::move(frame));
 }
 
-void HyperSubSystem::FrameDelivery::operator()() const {
+void HyperSubSystem::FrameDelivery::operator()() {
   // §6 piggyback: event traffic doubles as liveness evidence for the DHT
   // layer (no-op unless enabled).
   sys->dht_.note_app_contact(to, sender);
   if (auto* tr = trace::maybe(sys->tracer_)) {
     const double now = sys->simulator().now();
-    for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
+    for (const FrameChunk& c : frame) tr->end(c.fwd_span, now);
   }
-  for (FrameChunk& c : *chunks) {
-    sys->process_event_message(to, c.ctx, std::move(*c.subids), c.hops + 1,
+  for (const FrameChunk& c : frame) {
+    sys->process_event_message(to, c.ctx, c.subids(), c.hops + 1,
                                c.fwd_span);
   }
 }
 
-void HyperSubSystem::send_frame(
-    net::HostIndex host, net::HostIndex to,
-    std::shared_ptr<std::vector<FrameChunk>> chunks) {
+void HyperSubSystem::send_frame(net::HostIndex host, net::HostIndex to,
+                                Frame frame) {
   // One header per frame; each chunk pays its own event + subid payload.
   // The header is attributed to the first chunk with a live tracker.
   std::uint64_t bytes = overlay::kHeaderBytes;
   bool header_charged = false;
-  for (const FrameChunk& c : *chunks) {
+  for (const FrameChunk& c : frame) {
     const std::uint64_t subid_bytes =
-        subid_list_wire_bytes(*c.subids, cfg_.cover_aggregation);
+        subid_list_wire_bytes(c.subids(), cfg_.cover_aggregation);
     const std::uint64_t chunk_bytes = kEventBytes + subid_bytes;
     subid_wire_bytes_ += subid_bytes;
     if (cfg_.cover_aggregation) {
-      cover_subid_bytes_saved_ +=
-          kSubIdBytes * c.subids->size() -
-          subid_list_wire_bytes(*c.subids, true);
+      cover_subid_bytes_saved_ += kSubIdBytes * c.n - subid_bytes;
     }
     bytes += chunk_bytes;
     if (const auto it = trackers_.find(c.ctx->seq); it != trackers_.end()) {
@@ -1614,14 +1640,14 @@ void HyperSubSystem::send_frame(
         header_charged = true;
       }
     }
+    ++batch_.chunks;
   }
   ++batch_.frames;
-  batch_.chunks += chunks->size();
 
   const Id sender = dht_.id_of(host);
   if (!cfg_.reliable_delivery) {
     network().send(host, to, bytes,
-                   FrameDelivery{this, to, sender, std::move(chunks)});
+                   FrameDelivery{this, to, sender, std::move(frame)});
     return;
   }
   // The channel's retry/expire spans attach under the first traced chunk's
@@ -1629,21 +1655,23 @@ void HyperSubSystem::send_frame(
   // one chunk of the frame keeps the export honest enough).
   trace::TraceCtx tctx;
   if (trace::maybe(tracer_)) {
-    for (const FrameChunk& c : *chunks) {
+    for (const FrameChunk& c : frame) {
       if (c.ctx->trace != trace::kNoTrace && c.fwd_span != trace::kNoSpan) {
         tctx = trace::TraceCtx{c.ctx->trace, c.fwd_span};
         break;
       }
     }
   }
+  // The deliver and expire closures share the same chunk blocks.
+  auto shared = std::make_shared<Frame>(std::move(frame));
   channel_.send(
       host, to, bytes,
-      [this, host, to, sender, chunks] {
+      [this, host, to, sender, shared] {
         // Piggybacked failure gossip: the sender detoured around a dead
         // hop to reach us; drop it from our routing state (and our route
         // cache) and treat the sender as a predecessor candidate for the
         // inherited range.
-        for (const FrameChunk& c : *chunks) {
+        for (const FrameChunk& c : *shared) {
           if (c.failed == overlay::Peer::kInvalidHost) continue;
           dht_.note_peer_failure(to, c.failed, host);
           if (cfg_.route_cache) caches_[to]->invalidate_host(c.failed);
@@ -1651,17 +1679,20 @@ void HyperSubSystem::send_frame(
         dht_.note_app_contact(to, sender);
         if (auto* tr = trace::maybe(tracer_)) {
           const double now = simulator().now();
-          for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
+          for (const FrameChunk& c : *shared) tr->end(c.fwd_span, now);
         }
-        for (FrameChunk& c : *chunks) {
-          process_event_message(to, c.ctx, std::move(*c.subids), c.hops + 1,
+        for (FrameChunk& c : *shared) {
+          process_event_message(to, c.ctx, c.subids(), c.hops + 1,
                                 c.fwd_span);
+          // Consumed: if this frame's ack still expires (it arrives after
+          // the deadline), the reroute below must find nothing to resend.
+          c.n = 0;
         }
       },
-      [this, host, to, chunks] {
+      [this, host, to, shared] {
         // All retransmissions expired: the next hop is dead. Drop it from
         // the sender's routing state and route cache, reroute every
-        // chunk's sublist through recomputed hops, then retire each
+        // chunk's subids through recomputed hops, then retire each
         // chunk's outstanding slot. Forward spans close here — the hop
         // they describe is over, even though it failed; the reroute's new
         // forward spans chain under them.
@@ -1669,10 +1700,10 @@ void HyperSubSystem::send_frame(
         if (cfg_.route_cache) caches_[host]->invalidate_host(to);
         if (auto* tr = trace::maybe(tracer_)) {
           const double now = simulator().now();
-          for (const FrameChunk& c : *chunks) tr->end(c.fwd_span, now);
+          for (const FrameChunk& c : *shared) tr->end(c.fwd_span, now);
         }
-        for (const FrameChunk& c : *chunks) {
-          reroute_event(host, c.ctx, *c.subids, c.hops, to, c.fwd_span);
+        for (const FrameChunk& c : *shared) {
+          reroute_event(host, c.ctx, c.subids(), c.hops, to, c.fwd_span);
           // reroute_event adds its outstanding increments first, so this
           // decrement follows them — the count stays positive.
           if (const auto it = trackers_.find(c.ctx->seq);
@@ -1687,7 +1718,7 @@ void HyperSubSystem::send_frame(
 }
 
 void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
-                                   const std::vector<SubId>& subids, int hops,
+                                   std::span<const SubId> subids, int hops,
                                    net::HostIndex failed,
                                    trace::SpanId parent) {
   // Cold failover path: a local grouping buffer (the scratch vectors may
@@ -1695,7 +1726,7 @@ void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
   // event processing).
   auto* tr = trace::maybe(tracer_);
   const bool traced = tr != nullptr && ctx->trace != trace::kNoTrace;
-  std::vector<std::pair<net::HostIndex, SubId>> routed;
+  std::vector<Routed> routed;
   routed.reserve(subids.size());
   for (const SubId& subid : subids) {
     const overlay::Peer next = dht_.next_hop(host, subid.target);
@@ -1708,19 +1739,14 @@ void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
       note_event_drop(ctx->seq, 1);
       continue;
     }
-    routed.emplace_back(next.host, subid);
+    routed.push_back(Routed{next.host, subid, std::uint32_t(routed.size())});
   }
-  std::stable_sort(routed.begin(), routed.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  sort_by_hop(routed, false);
   for (std::size_t i = 0; i < routed.size();) {
-    const net::HostIndex to = routed[i].first;
-    std::size_t j = i;
-    while (j < routed.size() && routed[j].first == to) ++j;
-    auto sublist = std::make_shared<std::vector<SubId>>();
-    sublist->reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) sublist->push_back(routed[k].second);
+    const net::HostIndex to = routed[i].host;
+    const std::size_t j = group_end(routed, i);
+    ChunkPtr chunk =
+        make_chunk(ctx, hops, failed, std::span(routed).subspan(i, j - i));
     i = j;
     ++rel_.reroutes;
     if (const auto it = trackers_.find(ctx->seq); it != trackers_.end()) {
@@ -1734,7 +1760,7 @@ void HyperSubSystem::reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
     // Same hop count: the detour replaces the failed hop rather than
     // extending the logical path (the TTL still bounds repeated detours
     // through the receiver's own forwarding).
-    forward_event(host, to, ctx, std::move(sublist), hops, failed, parent);
+    forward_event(host, to, std::move(chunk), parent);
   }
 }
 

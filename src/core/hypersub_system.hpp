@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -425,28 +426,104 @@ class HyperSubSystem {
     trace::SpanId root = trace::kNoSpan;  ///< publish span, closed on finalize
   };
 
-  /// One logical event message riding (alone or batched) in a frame.
+  /// One logical event message riding (alone or batched) in a frame: this
+  /// header followed, in the same heap block, by its `n` SubIds. The block
+  /// is the message's only allocation and has a single owner — a ChunkPtr
+  /// from make_chunk, then the Frame it travels in.
   struct FrameChunk {
     EventCtxPtr ctx;
-    std::shared_ptr<std::vector<SubId>> subids;
+    FrameChunk* next = nullptr;  ///< next chunk of the same frame
     int hops = 0;
+    /// SubIds after the header; 0 once a reliable delivery consumed them.
+    std::uint32_t n = 0;
     net::HostIndex failed = overlay::Peer::kInvalidHost;
     /// Forward span opened at the sender; closed on arrival (or at ack
     /// expiry), and the parent of everything the receiver records.
     trace::SpanId fwd_span = trace::kNoSpan;
+
+    SubId* data() noexcept { return reinterpret_cast<SubId*>(this + 1); }
+    std::span<const SubId> subids() const noexcept {
+      return {reinterpret_cast<const SubId*>(this + 1), n};
+    }
+  };
+  struct ChunkFree {
+    void operator()(FrameChunk* c) const noexcept;
+  };
+  using ChunkPtr = std::unique_ptr<FrameChunk, ChunkFree>;
+
+  /// One frame on the wire: a move-only owning list of chunks in arrival
+  /// order. A lone chunk needs no list storage — the frame is two pointers.
+  class Frame {
+   public:
+    Frame() = default;
+    explicit Frame(ChunkPtr c) noexcept { push_back(std::move(c)); }
+    Frame(Frame&& o) noexcept
+        : head_(std::exchange(o.head_, nullptr)),
+          tail_(std::exchange(o.tail_, nullptr)) {}
+    Frame& operator=(Frame&& o) noexcept {
+      if (this != &o) {
+        clear();
+        head_ = std::exchange(o.head_, nullptr);
+        tail_ = std::exchange(o.tail_, nullptr);
+      }
+      return *this;
+    }
+    ~Frame() { clear(); }
+
+    void push_back(ChunkPtr c) noexcept {
+      FrameChunk* raw = c.release();
+      (head_ ? tail_->next : head_) = raw;
+      tail_ = raw;
+    }
+    bool empty() const noexcept { return head_ == nullptr; }
+    std::size_t size() const noexcept {
+      std::size_t k = 0;
+      for (const FrameChunk* c = head_; c; c = c->next) ++k;
+      return k;
+    }
+
+    struct Iter {
+      FrameChunk* c;
+      FrameChunk& operator*() const noexcept { return *c; }
+      Iter& operator++() noexcept {
+        c = c->next;
+        return *this;
+      }
+      bool operator==(const Iter&) const = default;
+    };
+    Iter begin() const noexcept { return {head_}; }
+    Iter end() const noexcept { return {nullptr}; }
+
+   private:
+    void clear() noexcept {
+      while (head_) ChunkFree{}(std::exchange(head_, head_->next));
+      tail_ = nullptr;
+    }
+
+    FrameChunk* head_ = nullptr;
+    FrameChunk* tail_ = nullptr;
+  };
+
+  /// One pending subid with its resolved next hop. `pos` is its position
+  /// in the unsorted list: the tie-break that keeps grouping stable.
+  struct Routed {
+    net::HostIndex host;
+    SubId subid;
+    std::uint32_t pos;
   };
 
   /// Arrival handler of one fire-and-forget event frame (send_frame). A
   /// named type so its size can be pinned: wrapped in net::Network::Delivery
   /// it must fit sim::Task's inline buffer, or every event message pays a
-  /// heap allocation (tests/test_sim.cpp checks it).
+  /// heap allocation (tests/test_sim.cpp checks it). It owns its frame, so
+  /// it is move-only.
   struct FrameDelivery {
     HyperSubSystem* sys;
     net::HostIndex to;
     Id sender;
-    std::shared_ptr<std::vector<FrameChunk>> chunks;
+    Frame frame;
 
-    void operator()() const;
+    void operator()();
   };
 
  public:
@@ -587,34 +664,38 @@ class HyperSubSystem {
                          Id rotated_key, HyperRect piece, Id parent_key);
   void propagate_pieces(net::HostIndex host, const ZoneAddr& addr);
 
-  // Alg. 5: one event message arriving at `host`. `via` is the span that
-  // carried the message here (the incoming forward span, or the publish
-  // root for origin-local processing) — the parent of the match span.
+  // Alg. 5: one event message arriving at `host`. `subids` is copied into
+  // the reusable Scratch worklist, so the caller keeps ownership. `via` is
+  // the span that carried the message here (the incoming forward span, or
+  // the publish root for origin-local processing) — the parent of the
+  // match span.
   void process_event_message(net::HostIndex host, const EventCtxPtr& ctx,
-                             std::vector<SubId> list, int hops,
+                             std::span<const SubId> subids, int hops,
                              trace::SpanId via = trace::kNoSpan);
+  /// The event message for one next-hop group of a sorted Routed list,
+  /// built in place in its single heap block (fwd_span is set on send).
+  static ChunkPtr make_chunk(const EventCtxPtr& ctx, int hops,
+                             net::HostIndex failed,
+                             std::span<const Routed> group);
   /// Queue one grouped event message `host` -> `to`. Without batching it
   /// leaves immediately as its own frame; with batching it coalesces with
-  /// every other chunk bound for the same hop this timestep. `failed` is a
-  /// failure-gossip hint for the receiver (invalid host = none). Assumes
-  /// the tracker's outstanding count was already incremented for this
-  /// message; byte accounting happens at frame-send time.
-  void forward_event(net::HostIndex host, net::HostIndex to,
-                     const EventCtxPtr& ctx,
-                     std::shared_ptr<std::vector<SubId>> sublist, int hops,
-                     net::HostIndex failed,
+  /// every other chunk bound for the same hop this timestep. The chunk's
+  /// `failed` is a failure-gossip hint for the receiver (invalid host =
+  /// none). Assumes the tracker's outstanding count was already
+  /// incremented for this message; byte accounting happens at frame-send
+  /// time.
+  void forward_event(net::HostIndex host, net::HostIndex to, ChunkPtr chunk,
                      trace::SpanId parent = trace::kNoSpan);
   /// Send one frame of chunks `host` -> `to` (fire-and-forget, or acked
   /// with per-chunk reroute-on-expiry under reliable delivery).
-  void send_frame(net::HostIndex host, net::HostIndex to,
-                  std::shared_ptr<std::vector<FrameChunk>> chunks);
+  void send_frame(net::HostIndex host, net::HostIndex to, Frame frame);
   /// Flush the batched chunks queued for (host, to), if any.
   void flush_batch(net::HostIndex host, net::HostIndex to);
   /// Failover: re-resolve each subid of a message whose next hop died,
   /// excluding the dead hop, and forward the regrouped remainder. Subids
   /// with no viable alternative are dropped (counted, event truncated).
   void reroute_event(net::HostIndex host, const EventCtxPtr& ctx,
-                     const std::vector<SubId>& subids, int hops,
+                     std::span<const SubId> subids, int hops,
                      net::HostIndex failed,
                      trace::SpanId parent = trace::kNoSpan);
   /// Cache coherence at the rendezvous: `host` consumed the kRendezvous
@@ -653,7 +734,7 @@ class HyperSubSystem {
   /// Per-event cost accounting, keyed by event seq.
   std::unordered_map<std::uint64_t, Tracker> trackers_;
   /// Chunks awaiting this timestep's flush, keyed per sender by next hop.
-  std::vector<std::map<net::HostIndex, std::vector<FrameChunk>>> batches_;
+  std::vector<std::map<net::HostIndex, Frame>> batches_;
   /// Per-host, per-event delivered (subscriber node id, iid) pairs:
   /// end-to-end duplicate suppression under reliable delivery
   /// (retransmitted subtrees can re-match the same subscription through a
@@ -670,13 +751,15 @@ class HyperSubSystem {
   std::vector<WarmState> warm_;
   JoinStats join_stats_;  ///< global transfer counters
 
-  // Event-delivery scratch, reused across process_event_message calls to
-  // keep the hot path allocation-free. No reentrant call can observe a
-  // half-used buffer: every network send/schedule is asynchronous.
+  // Event-delivery scratch, reused across process_event_message calls so
+  // that a message's only allocation is the chunk block of each outgoing
+  // group. No reentrant call can observe a half-used buffer: every network
+  // send/schedule is asynchronous.
   struct Scratch {
-    std::vector<SubId> pending;
+    std::vector<SubId> work;     ///< the message's subids plus new matches
+    std::vector<SubId> pending;  ///< subids some other node owns
     std::vector<Id> keys;
-    std::vector<std::pair<net::HostIndex, SubId>> routed;
+    std::vector<Routed> routed;  ///< pending, resolved to next hops
     std::vector<std::uint32_t> cand;
     std::vector<ZoneState*> zones;
   };

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,9 +50,9 @@ inline constexpr std::uint64_t kEventBytes = 100;
 /// 9 + n bytes instead of 9 n. Singleton runs keep the plain 9 B form, so
 /// grouping never costs bytes. The encoding is lossless (the receiver
 /// expands runs back to individual subids), so only the byte accounting
-/// changes — senders order each hop's sublist by target to maximize runs
+/// changes — senders order each hop's subids by target to maximize runs
 /// (HyperSubSystem Phase 2 under Config::cover_aggregation).
-inline std::uint64_t subid_list_wire_bytes(const std::vector<SubId>& list,
+inline std::uint64_t subid_list_wire_bytes(std::span<const SubId> list,
                                            bool grouped) {
   if (!grouped) return kSubIdBytes * list.size();
   std::uint64_t bytes = 0;

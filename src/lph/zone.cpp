@@ -47,6 +47,22 @@ HyperRect ZoneSystem::extent(const Zone& z) const {
   return r;
 }
 
+bool ZoneSystem::extent_contains(const Zone& z, const Point& p) const {
+  assert(p.size() == space_.dimensions());
+  const std::size_t d = space_.dimensions();
+  for (std::size_t j = 0; j < d; ++j) {
+    // Levels i with split_dimension(i - 1) == j, in extent()'s order.
+    Interval iv = space_.dim(j);
+    for (std::size_t i = j + 1; i <= std::size_t(z.level); i += d) {
+      const double w = iv.length() / double(base());
+      const double lo = iv.lo + w * double(digit(z, int(i)));
+      iv = Interval{lo, lo + w};
+    }
+    if (!iv.contains(p[j])) return false;
+  }
+  return true;
+}
+
 Id ZoneSystem::key(const Zone& z) const {
   const int used = z.level * cfg_.base_bits;
   assert(used <= kIdBits);

@@ -74,6 +74,12 @@ class ZoneSystem {
   /// The hyper-rectangle this zone covers (replays the split sequence).
   HyperRect extent(const Zone& z) const;
 
+  /// extent(z).contains(p), without materializing the extent: replays each
+  /// dimension's splits with the same arithmetic, so the answer is
+  /// bit-identical, and allocates nothing (event matching calls it per
+  /// zone-chain member).
+  bool extent_contains(const Zone& z, const Point& p) const;
+
   /// Dimension split when descending FROM level `level` (0-based level of
   /// the parent); the paper's j = i mod d with i = level+1.
   std::size_t split_dimension(int level) const {

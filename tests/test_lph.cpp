@@ -76,6 +76,36 @@ TEST(ZoneSystem, ChildrenTileParent) {
 // key mapping
 // ---------------------------------------------------------------------------
 
+TEST(ZoneSystem, ExtentContainsAgreesWithExtent) {
+  // The allocation-free containment test replays the same arithmetic as
+  // extent(): identical answers, boundary points included.
+  Rng rng(23);
+  for (const int bb : {1, 2}) {
+    const ZoneSystem zs(HyperRect({{0, 100}, {0, 10}, {-1, 1}}), {bb, 30});
+    for (int t = 0; t < 400; ++t) {
+      Zone z = zs.root();
+      const int level = int(rng.index(std::size_t(zs.max_level()) + 1));
+      while (z.level < level) z = zs.child(z, int(rng.index(zs.base())));
+      const HyperRect ext = zs.extent(z);
+      // Half the probes inside the extent, half anywhere in the space.
+      const HyperRect& from = t % 2 ? ext : zs.space();
+      Point p(3);
+      for (std::size_t j = 0; j < 3; ++j) {
+        p[j] = rng.uniform(from.dim(j).lo, from.dim(j).hi);
+      }
+      EXPECT_EQ(zs.extent_contains(z, p), ext.contains(p));
+      // The extent's own corners lie inside (closed intervals).
+      Point lo(3), hi(3);
+      for (std::size_t j = 0; j < 3; ++j) {
+        lo[j] = ext.dim(j).lo;
+        hi[j] = ext.dim(j).hi;
+      }
+      EXPECT_TRUE(zs.extent_contains(z, lo));
+      EXPECT_TRUE(zs.extent_contains(z, hi));
+    }
+  }
+}
+
 TEST(ZoneSystem, KeyPadsWithOnes) {
   const ZoneSystem zs(unit2(), {1, 20});
   // Root: all one-bits.

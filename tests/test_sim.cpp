@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -326,6 +327,10 @@ TEST(Task, NetworkFrameDeliveryStaysInline) {
   static_assert(Task::fits_inline<Action>(),
                 "event-frame delivery closure spilled out of Task's buffer");
   EXPECT_LE(sizeof(Action), Task::kInlineSize);
+  // The frame action owns its chunk blocks outright: a copyable (refcounted)
+  // handle creeping back in would bring back its control-block allocation.
+  static_assert(!std::is_copy_constructible_v<Action>,
+                "event-frame delivery must own its frame (move-only)");
   // A plain std::function handler (the shape of the remaining type-erased
   // callers) also stays inline once wrapped.
   EXPECT_TRUE(
