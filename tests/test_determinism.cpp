@@ -171,7 +171,7 @@ TEST(Determinism, FastLaneRunIsReproducible) {
   const RunOpts o{.cache = true, .batch = true, .load_balance = true};
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
-  expect_pinned(a, 0x5dfe1dadf4800d52ull, 0xde575fc225c063c7ull);
+  expect_pinned(a, 0x5dfe1dadf4800d52ull, 0x8cd3731aa7b3f52bull);
 }
 
 TEST(Determinism, ChurnWithReliabilityIsReproducible) {
@@ -202,7 +202,7 @@ TEST(Determinism, CoverAggregationRunIsReproducible) {
   const RunOpts o{.load_balance = true, .cover = true};
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
-  expect_pinned(a, 0x08365c52d08da10aull, 0x9df6f817ed13ef7aull);
+  expect_pinned(a, 0x08365c52d08da10aull, 0x0d2a88987718e45cull);
 }
 
 TEST(Determinism, SampledTracingIsReproducibleAndStableAcrossRates) {
