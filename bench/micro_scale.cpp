@@ -23,9 +23,10 @@
 // exactly one point for this reason.
 //
 // Each point also records the zone-tree memory breakdown (materialized
-// zones, compressed-chain records, key indexes) separately from
-// subscription storage; --mem-breakdown prints it, --no-compress disables
-// path-compressed zone chains for before/after comparisons.
+// zones, saturated-zone masks, key indexes) separately from subscription
+// storage; --mem-breakdown prints it. The json keeps the chain_records /
+// implicit_zones keys of earlier files (the sanity gate reads them): both
+// now count saturated zones, and saturated_bytes is their masks.
 
 #include <chrono>
 #include <cstdio>
@@ -67,13 +68,14 @@ struct PointResult {
   double setup_seconds = 0.0;
   std::size_t peak_rss_bytes = 0;
   // Zone-tree memory breakdown, summed over all nodes after setup: the
-  // compression target (zone_tree_bytes) separated from subscription
-  // storage (sub_bytes) so the sanity gate can compare representations.
+  // zone tree (zone_tree_bytes) separated from subscription storage
+  // (sub_bytes) so the sanity gate can compare it with the frozen
+  // all-materialized baseline.
   std::size_t materialized_zones = 0;
   std::size_t chain_records = 0;
   std::size_t implicit_zones = 0;
   std::size_t zone_materialized_bytes = 0;
-  std::size_t zone_chain_bytes = 0;
+  std::size_t saturated_bytes = 0;
   std::size_t zone_index_bytes = 0;
   std::size_t zone_tree_bytes = 0;
   std::size_t sub_bytes = 0;
@@ -88,7 +90,6 @@ struct RunOpts {
   double mean_interarrival_ms = 0.5;
   unsigned setup_threads = 1;
   bool legacy = false;     ///< simulated install cascade (pre-arena path)
-  bool compress = true;    ///< path-compressed structural zone chains
 };
 
 PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
@@ -107,7 +108,6 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   sc.bootstrap = core::BootstrapMode::kOracle;
   sc.build_threads = o.setup_threads;
   sc.stream_event_metrics = !o.legacy;  // big runs never materialize records
-  sc.compress_zone_chains = o.compress;
   core::HyperSubSystem sys(chord, sc);
   core::CountingDeliverySink sink;
   sys.set_delivery_sink(sink);
@@ -175,7 +175,7 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.chain_records = mb.chain_records;
   r.implicit_zones = mb.implicit_zones;
   r.zone_materialized_bytes = mb.zone_bytes;
-  r.zone_chain_bytes = mb.chain_bytes;
+  r.saturated_bytes = mb.chain_bytes;
   r.zone_index_bytes = mb.key_index_bytes;
   r.zone_tree_bytes = mb.zone_tree_bytes();
   r.sub_bytes = mb.sub_bytes;
@@ -202,11 +202,11 @@ void print_mem_breakdown(const PointResult& r) {
   const double mib = 1024.0 * 1024.0;
   std::printf(
       "[micro_scale]   zone tree: %.1f MiB "
-      "(materialized %zu zones = %.1f MiB, %zu chains / %zu implicit zones "
+      "(materialized %zu zones = %.1f MiB, %zu saturated zones "
       "= %.1f MiB, key index %.1f MiB); subscriptions: %.1f MiB\n",
       double(r.zone_tree_bytes) / mib, r.materialized_zones,
-      double(r.zone_materialized_bytes) / mib, r.chain_records,
-      r.implicit_zones, double(r.zone_chain_bytes) / mib,
+      double(r.zone_materialized_bytes) / mib, r.implicit_zones,
+      double(r.saturated_bytes) / mib,
       double(r.zone_index_bytes) / mib, double(r.sub_bytes) / mib);
 }
 
@@ -231,8 +231,6 @@ int main(int argc, char** argv) {
       points = {{600, 10}, {2000, 50}, {10000, 100}};
     } else if (std::strcmp(argv[i], "--legacy") == 0) {
       opts.legacy = true;
-    } else if (std::strcmp(argv[i], "--no-compress") == 0) {
-      opts.compress = false;
     } else if (std::strcmp(argv[i], "--mem-breakdown") == 0) {
       mem_breakdown = true;
     } else if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
@@ -269,7 +267,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, " \"quick\": %s,\n \"events\": %zu,\n \"mode\": \"%s\",\n",
                quick ? "true" : "false", opts.events,
                opts.legacy ? "legacy" : "fast");
-  std::fprintf(f, " \"compress\": %s,\n", opts.compress ? "true" : "false");
   std::fprintf(f, " \"points\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PointResult& r = results[i];
@@ -280,14 +277,14 @@ int main(int argc, char** argv) {
                  "\"materialized_zones\": %zu, \"chain_records\": %zu, "
                  "\"implicit_zones\": %zu, "
                  "\"zone_materialized_bytes\": %zu, "
-                 "\"zone_chain_bytes\": %zu, \"zone_index_bytes\": %zu, "
+                 "\"saturated_bytes\": %zu, \"zone_index_bytes\": %zu, "
                  "\"zone_tree_bytes\": %zu, \"sub_bytes\": %zu, "
                  "\"events_per_sec\": %.0f, "
                  "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\"}%s\n",
                  r.nodes, r.subs_per_node, r.subs, r.setup_seconds,
                  r.peak_rss_bytes, r.materialized_zones, r.chain_records,
                  r.implicit_zones, r.zone_materialized_bytes,
-                 r.zone_chain_bytes, r.zone_index_bytes, r.zone_tree_bytes,
+                 r.saturated_bytes, r.zone_index_bytes, r.zone_tree_bytes,
                  r.sub_bytes, r.events_per_sec,
                  (unsigned long long)r.deliveries,
                  (unsigned long long)r.snapshot_hash,

@@ -22,9 +22,11 @@
 namespace hypersub::common {
 
 /// Bump when any save()/restore() schema below changes shape.
-/// v2: node images append a compressed-chain section after replica zones
-/// (path-compressed zone tree); v1 images (no chain section) still load.
-inline constexpr std::uint32_t kWireVersion = 2;
+/// v2: node images append a compressed-chain section after replica zones;
+/// v1 images (no chain section) still load.
+/// v3: that section holds saturated-zone level masks instead of chains;
+/// v1 and v2 images still load.
+inline constexpr std::uint32_t kWireVersion = 3;
 
 class ByteWriter {
  public:

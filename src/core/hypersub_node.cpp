@@ -1,9 +1,9 @@
 #include "core/hypersub_node.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-
-#include "core/state_wire.hpp"
+#include <tuple>
 
 namespace hypersub::core {
 
@@ -157,6 +157,42 @@ std::uint32_t HyperSubNode::accept_migration(Id origin_zone_key,
   return token;
 }
 
+std::uint64_t HyperSubNode::saturated_mask(std::uint32_t scheme,
+                                           std::uint32_t subscheme,
+                                           Id key) const {
+  for (const SaturatedZones& s : saturated_) {
+    if (s.scheme != scheme || s.subscheme != subscheme) continue;
+    const std::uint64_t* m = s.masks.find(key);
+    return m == nullptr ? 0 : *m;
+  }
+  return 0;
+}
+
+void HyperSubNode::set_saturated_mask(std::uint32_t scheme,
+                                      std::uint32_t subscheme, Id key,
+                                      std::uint64_t mask) {
+  auto it = std::find_if(saturated_.begin(), saturated_.end(),
+                         [&](const SaturatedZones& s) {
+                           return std::tie(s.scheme, s.subscheme) >=
+                                  std::tie(scheme, subscheme);
+                         });
+  if (it == saturated_.end() || it->scheme != scheme ||
+      it->subscheme != subscheme) {
+    if (mask == 0) return;
+    it = saturated_.insert(it, SaturatedZones{scheme, subscheme, {}});
+  }
+  std::uint64_t* m = it->masks.find(key);
+  saturated_count_ -= m == nullptr ? 0 : std::size_t(std::popcount(*m));
+  saturated_count_ += std::size_t(std::popcount(mask));
+  if (mask == 0) {
+    it->masks.erase(key);
+  } else if (m != nullptr) {
+    *m = mask;
+  } else {
+    it->masks.insert(key, mask);
+  }
+}
+
 const MigratedRepo* HyperSubNode::find_migrated(std::uint32_t token) const {
   const auto it = migrated_in_.find(token);
   return it == migrated_in_.end() ? nullptr : &it->second;
@@ -174,7 +210,7 @@ std::size_t HyperSubNode::load() const {
 std::size_t HyperSubNode::stored_entries() const {
   std::size_t n = 0;
   for (const auto& [addr, z] : zones_) n += z.entry_count();
-  n += chains_.total_span();  // one piece entry per implicit member
+  n += saturated_count_;  // one piece entry per saturated zone
   for (const auto& [tok, repo] : migrated_in_) n += repo.subs.size();
   return n;
 }
@@ -182,8 +218,8 @@ std::size_t HyperSubNode::stored_entries() const {
 HyperSubNode::ZoneMemoryBreakdown HyperSubNode::memory_breakdown() const {
   ZoneMemoryBreakdown b;
   b.materialized_zones = zones_.size();
-  b.chain_records = chains_.size();
-  b.implicit_zones = chains_.total_span();
+  b.chain_records = saturated_count_;
+  b.implicit_zones = saturated_count_;
 
   // Hashed-container overhead estimate for the node-based maps: one bucket
   // pointer per bucket plus, per node, next pointer + cached hash on top of
@@ -200,7 +236,10 @@ HyperSubNode::ZoneMemoryBreakdown HyperSubNode::memory_breakdown() const {
   tally_zone_map(zones_);
   tally_zone_map(replica_zones_);
 
-  b.chain_bytes = chains_.memory_bytes();
+  b.chain_bytes = saturated_.capacity() * sizeof(SaturatedZones);
+  for (const SaturatedZones& sz : saturated_) {
+    b.chain_bytes += sz.masks.memory_bytes();
+  }
 
   const auto tally_key_index = [&](const auto& by_key) {
     b.key_index_bytes += by_key.memory_bytes();
@@ -246,23 +285,9 @@ void save_keyed_zones(common::ByteWriter& w, const ZoneMap& zones,
   }
 }
 
-// Canonical chain order for serialization: tails are unique across live
-// chains (a zone belongs to at most one), so (scheme, subscheme, tail)
-// totally orders them.
-bool chain_before(const CompressedChain& a, const CompressedChain& b) {
-  if (a.scheme != b.scheme) return a.scheme < b.scheme;
-  if (a.subscheme != b.subscheme) return a.subscheme < b.subscheme;
-  if (a.tail.level != b.tail.level) return a.tail.level < b.tail.level;
-  return a.tail.code < b.tail.code;
-}
-
 }  // namespace
 
-void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
-  assert(version >= 1 && version <= common::kWireVersion);
-  // v1 images have no chain section; a node carrying chains cannot be
-  // downgraded (callers decompress or bump the version first).
-  assert(version >= 2 || chains_.empty());
+void HyperSubNode::save(common::ByteWriter& w) const {
   w.u32(iid_counter_);
   w.u32(token_counter_);
 
@@ -284,19 +309,7 @@ void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
   save_keyed_zones(w, zones_, zones_by_key_);
   save_keyed_zones(w, replica_zones_, replicas_by_key_);
 
-  if (version >= 2) {
-    std::vector<const CompressedChain*> order;
-    order.reserve(chains_.size());
-    chains_.for_each([&](std::uint32_t, const CompressedChain& c) {
-      order.push_back(&c);
-    });
-    std::sort(order.begin(), order.end(),
-              [](const CompressedChain* a, const CompressedChain* b) {
-                return chain_before(*a, *b);
-              });
-    w.u32(std::uint32_t(order.size()));
-    for (const CompressedChain* c : order) save_chain(w, *c);
-  }
+  save_saturated(w, [](Id) { return true; });
 
   std::vector<std::uint32_t> tokens;
   tokens.reserve(migrated_in_.size());
@@ -317,7 +330,8 @@ void HyperSubNode::save(common::ByteWriter& w, std::uint32_t version) const {
   }
 }
 
-void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version) {
+std::vector<V2Chain> HyperSubNode::restore(common::ByteReader& r,
+                                           std::uint32_t version) {
   assert(version >= 1 && version <= common::kWireVersion);
   local_entries_.clear();
   local_pool_.clear();
@@ -365,10 +379,17 @@ void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version) {
   load_keyed(zones_, zones_by_key_);
   load_keyed(replica_zones_, replicas_by_key_);
 
-  if (version >= 2) {
-    const std::uint32_t n_chains = r.u32();
-    for (std::uint32_t i = 0; i < n_chains; ++i) {
-      chains_.insert(load_chain(r));
+  std::vector<V2Chain> v2_chains;
+  if (version == 2) {
+    v2_chains.resize(r.u32());
+    for (V2Chain& c : v2_chains) c = load_v2_chain(r);
+  } else if (version >= 3) {
+    const std::uint32_t n_rows = r.u32();
+    for (std::uint32_t i = 0; i < n_rows; ++i) {
+      const std::uint32_t scheme = r.u32();
+      const std::uint32_t subscheme = r.u32();
+      const Id key = r.u64();
+      set_saturated_mask(scheme, subscheme, key, r.u64());
     }
   }
 
@@ -386,6 +407,7 @@ void HyperSubNode::restore(common::ByteReader& r, std::uint32_t version) {
     }
     migrated_in_.emplace(tok, std::move(repo));
   }
+  return v2_chains;
 }
 
 void HyperSubNode::reset_surrogate_state() {
@@ -393,7 +415,8 @@ void HyperSubNode::reset_surrogate_state() {
   zones_by_key_.clear();
   replica_zones_.clear();
   replicas_by_key_.clear();
-  chains_.clear();
+  saturated_.clear();
+  saturated_count_ = 0;
   migrated_in_.clear();
 }
 

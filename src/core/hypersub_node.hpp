@@ -3,14 +3,17 @@
 // repositories (virtual nodes), and migrated-in buckets accepted from
 // overloaded peers.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "common/wire.hpp"
 #include "core/flat_map.hpp"
-#include "core/zone_chain.hpp"
+#include "core/state_wire.hpp"
 #include "core/zone_state.hpp"
 #include "net/topology.hpp"
 
@@ -88,10 +91,87 @@ class HyperSubNode {
     return zones_;
   }
 
-  /// Path-compressed structural zone chains hosted by this node (populated
-  /// only when the system's compression is enabled; see zone_chain.hpp).
-  ZoneChainSet& chains() noexcept { return chains_; }
-  const ZoneChainSet& chains() const noexcept { return chains_; }
+  // -- saturated zones -------------------------------------------------------
+  //
+  // A saturated zone stores nothing but its parent piece, and that piece is
+  // exactly its own extent. Everything else about it — summary, child-piece
+  // cache, parent key — follows from its address, so it is kept as one bit
+  // instead of a ZoneState: per (scheme, subscheme), a map from rotated zone
+  // key to a level mask. Bit L of key K's mask is the zone at level L whose
+  // key is K (Subscheme::zone_at); one key aliases a zone and its rightmost
+  // descendants, hence a mask rather than a flag.
+
+  /// Level mask of the saturated zones of (scheme, subscheme) under `key`.
+  std::uint64_t saturated_mask(std::uint32_t scheme, std::uint32_t subscheme,
+                               Id key) const;
+  /// Replace the mask of `key` (0 drops the key).
+  void set_saturated_mask(std::uint32_t scheme, std::uint32_t subscheme,
+                          Id key, std::uint64_t mask);
+  bool saturated(const ZoneAddr& addr, Id key) const {
+    return (saturated_mask(addr.scheme, addr.subscheme, key) >>
+            addr.zone.level) & 1u;
+  }
+  void set_saturated(const ZoneAddr& addr, Id key) {
+    set_saturated_mask(addr.scheme, addr.subscheme, key,
+                       saturated_mask(addr.scheme, addr.subscheme, key) |
+                           level_bit(addr.zone.level));
+  }
+  /// Clear the zone's bit; returns true if it was set.
+  bool clear_saturated(const ZoneAddr& addr, Id key) {
+    const std::uint64_t m = saturated_mask(addr.scheme, addr.subscheme, key);
+    if ((m & level_bit(addr.zone.level)) == 0) return false;
+    set_saturated_mask(addr.scheme, addr.subscheme, key,
+                       m & ~level_bit(addr.zone.level));
+    return true;
+  }
+  /// Visit fn(scheme, subscheme, mask) for every subscheme with saturated
+  /// zones under `key`, in (scheme, subscheme) order.
+  template <typename F>
+  void for_each_saturated_at(Id key, F&& fn) const {
+    for (const SaturatedZones& s : saturated_) {
+      if (const std::uint64_t* m = s.masks.find(key)) {
+        fn(s.scheme, s.subscheme, *m);
+      }
+    }
+  }
+  /// Visit fn(scheme, subscheme, key, mask) for every non-empty mask, in
+  /// (scheme, subscheme) order, keys in map layout order.
+  template <typename F>
+  void for_each_saturated(F&& fn) const {
+    for (const SaturatedZones& s : saturated_) {
+      s.masks.for_each([&](const Id& key, const std::uint64_t& mask) {
+        fn(s.scheme, s.subscheme, key, mask);
+      });
+    }
+  }
+  /// Number of saturated zones (set bits).
+  std::size_t saturated_count() const noexcept { return saturated_count_; }
+  /// Write the masks whose key satisfies `keep` as a row count and sorted
+  /// (scheme, subscheme, key, mask) rows; returns the zones written.
+  template <typename Keep>
+  std::size_t save_saturated(common::ByteWriter& w, Keep&& keep) const {
+    std::vector<std::tuple<std::uint32_t, std::uint32_t, Id, std::uint64_t>>
+        rows;
+    std::size_t zones = 0;
+    for_each_saturated([&](std::uint32_t scheme, std::uint32_t subscheme,
+                           Id key, std::uint64_t mask) {
+      if (!keep(key)) return;
+      rows.emplace_back(scheme, subscheme, key, mask);
+      zones += std::size_t(std::popcount(mask));
+    });
+    std::sort(rows.begin(), rows.end());
+    w.u32(std::uint32_t(rows.size()));
+    for (const auto& [scheme, subscheme, key, mask] : rows) {
+      w.u32(scheme);
+      w.u32(subscheme);
+      w.u64(key);
+      w.u64(mask);
+    }
+    return zones;
+  }
+  static constexpr std::uint64_t level_bit(int level) noexcept {
+    return std::uint64_t{1} << level;
+  }
 
   // -- replicated zone state (robustness extension) ---------------------------
 
@@ -135,21 +215,22 @@ class HyperSubNode {
   std::size_t load() const;
 
   /// Piece-inclusive storage footprint: everything in load() plus the
-  /// summary-filter pieces registered into hosted zones. Implicit chain
-  /// members count one piece entry each, so the footprint is independent
-  /// of whether a structural zone is materialized or compressed.
+  /// summary-filter pieces registered into hosted zones. A saturated zone
+  /// counts its one piece entry, so the footprint is independent of
+  /// whether a zone is materialized or saturated.
   std::size_t stored_entries() const;
 
   /// Attributable memory estimate of this node's pub/sub state, split so
-  /// the zone-tree representation (the compression target) is separable
-  /// from subscription storage. All numbers are allocator-level estimates
-  /// (capacities, not sizes; map overhead approximated).
+  /// the zone-tree representation is separable from subscription storage.
+  /// All numbers are allocator-level estimates (capacities, not sizes; map
+  /// overhead approximated). The chain_* / implicit_zones names predate the
+  /// level masks; benchmark tooling reads them under these names.
   struct ZoneMemoryBreakdown {
     std::size_t materialized_zones = 0;  ///< ZoneState count
-    std::size_t chain_records = 0;       ///< CompressedChain count
-    std::size_t implicit_zones = 0;      ///< sum of chain spans
+    std::size_t chain_records = 0;       ///< saturated zones
+    std::size_t implicit_zones = 0;      ///< saturated zones
     std::size_t zone_bytes = 0;       ///< ZoneState structs + structural heap
-    std::size_t chain_bytes = 0;      ///< chain records + chain key index
+    std::size_t chain_bytes = 0;      ///< saturated-zone level masks
     std::size_t key_index_bytes = 0;  ///< zones_by_key_ map + addr vectors
     std::size_t sub_bytes = 0;  ///< SubStores + local store + migrated repos
 
@@ -161,20 +242,21 @@ class HyperSubNode {
 
   // -- state transfer / checkpointing ---------------------------------------
 
-  /// Serialize everything this node hosts: subscriber-side store, hosted
-  /// zones (keyed, preserving per-key registration order), replica zones,
-  /// compressed chains (wire v2+), migrated-in buckets, and the id/token
-  /// counters. Map iteration is by sorted key, so the bytes are
-  /// deterministic. Writing a v1 image requires an empty chain set.
-  void save(common::ByteWriter& w,
-            std::uint32_t version = common::kWireVersion) const;
+  /// Serialize everything this node hosts at the current wire version:
+  /// subscriber-side store, hosted zones (keyed, preserving per-key
+  /// registration order), replica zones, saturated-zone masks, migrated-in
+  /// buckets, and the id/token counters. Map iteration is by sorted key, so
+  /// the bytes are deterministic.
+  void save(common::ByteWriter& w) const;
 
   /// Rebuild from save()'s encoding; replaces all current state. `version`
-  /// is the image's format (v1 images carry no chain section).
-  void restore(common::ByteReader& r,
-               std::uint32_t version = common::kWireVersion);
+  /// is the image's format: v1 images carry no zone-tree section, v2 images
+  /// carry chain records, which come back to the caller — only the system
+  /// knows the zone geometry needed to expand them.
+  std::vector<V2Chain> restore(common::ByteReader& r,
+                               std::uint32_t version = common::kWireVersion);
 
-  /// Drop all surrogate-side state (hosted zones, replicas, chains,
+  /// Drop all surrogate-side state (hosted zones, replicas, saturated zones,
   /// migrated-in buckets) ahead of a protocol rejoin: the node re-acquires
   /// zone state through transfer. Subscriber-side entries and the iid
   /// counter are kept — this node's own subscriptions stay installed in
@@ -208,7 +290,13 @@ class HyperSubNode {
   FlatMap<Id, std::vector<ZoneAddr>> zones_by_key_;
   std::unordered_map<ZoneAddr, ZoneState, ZoneAddrHash> replica_zones_;
   FlatMap<Id, std::vector<ZoneAddr>> replicas_by_key_;
-  ZoneChainSet chains_;
+  struct SaturatedZones {
+    std::uint32_t scheme = 0;
+    std::uint32_t subscheme = 0;
+    FlatMap<Id, std::uint64_t> masks;  // rotated key -> level mask
+  };
+  std::vector<SaturatedZones> saturated_;  // sorted by (scheme, subscheme)
+  std::size_t saturated_count_ = 0;
   std::unordered_map<std::uint32_t, MigratedRepo> migrated_in_;
 };
 

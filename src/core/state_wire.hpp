@@ -4,12 +4,12 @@
 // Kept in one place so the two features can never drift apart on layout.
 
 #include <cstdint>
+#include <vector>
 
 #include "common/hyperrect.hpp"
 #include "common/wire.hpp"
 #include "core/sub_arena.hpp"
 #include "core/subid.hpp"
-#include "core/zone_chain.hpp"
 #include "core/zone_state.hpp"
 
 namespace hypersub::core {
@@ -64,19 +64,24 @@ inline ZoneAddr load_zone_addr(common::ByteReader& r) {
   return a;
 }
 
-inline void save_chain(common::ByteWriter& w, const CompressedChain& c) {
-  w.u32(c.scheme);
-  w.u32(c.subscheme);
-  w.u64(c.tail.code);
-  w.u32(std::uint32_t(c.tail.level));
-  w.u32(c.span);
-  save_rect(w, c.piece);
-  w.u64(c.parent_key);
-  for (const Id k : c.level_keys) w.u64(k);
-}
+/// One chain record of a wire-v2 node image: a run of piece-only zones
+/// from a head down to `tail` along one parent path (`span` levels), the
+/// piece installed at the head, the head's parent key, and one rotated key
+/// per member. Member L's piece is piece ∩ extent(member L). v3 images keep
+/// these zones as ZoneStates or saturated-zone bits instead; v2 records are
+/// only read, and expanded on restore.
+struct V2Chain {
+  std::uint32_t scheme = 0;
+  std::uint32_t subscheme = 0;
+  lph::Zone tail;
+  std::uint32_t span = 0;
+  HyperRect piece;
+  Id parent_key = 0;
+  std::vector<Id> level_keys;  ///< member keys, head..tail
+};
 
-inline CompressedChain load_chain(common::ByteReader& r) {
-  CompressedChain c;
+inline V2Chain load_v2_chain(common::ByteReader& r) {
+  V2Chain c;
   c.scheme = r.u32();
   c.subscheme = r.u32();
   c.tail.code = r.u64();

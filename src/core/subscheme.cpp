@@ -48,6 +48,12 @@ Id Subscheme::zone_key(const lph::Zone& z) const {
   return it->second;
 }
 
+lph::Zone Subscheme::zone_at(Id key, int level) const {
+  const int used = level * zones_.base_bits();
+  return lph::Zone{used == 0 ? 0 : (key - rotation_) >> (kIdBits - used),
+                   level};
+}
+
 Point Subscheme::project(const Point& full) const {
   Point p;
   p.reserve(attrs_.size());

@@ -40,6 +40,11 @@ class Subscheme {
   /// instead of a fresh LPH computation.
   Id zone_key(const lph::Zone& z) const;
 
+  /// The zone at `level` whose rotated key is `key`: the inverse of
+  /// zone_key over the zones a key aliases (a key is the zone code
+  /// right-padded with one-bits, plus the rotation).
+  lph::Zone zone_at(Id key, int level) const;
+
   /// Project a full-space rectangle/point onto this subscheme's dimensions.
   HyperRect project(const HyperRect& full) const;
   Point project(const Point& full) const;

@@ -132,16 +132,15 @@ TEST(Integration, ZoneChainsReachCoveringSubscriptions) {
 
   // An event inside the subscription: its leaf zone's surrogate node must
   // hold a piece chain (parent pointer present at the leaf) — either as a
-  // materialized zone or as a member of a path-compressed chain record.
+  // materialized zone or as a saturated zone (its piece is its extent).
   pubsub::Event e{0, {50.0, 5.0}};
   const auto le = lph::hash_event(ss.zones(), e.point, 0);
   const auto owner = s.chord->oracle_successor(le.key);
-  const auto* zs = s.sys->node(owner.host).find_zone_by_key(le.key);
-  bool has_piece = zs != nullptr && zs->has_parent_piece();
-  s.sys->node(owner.host).chains().for_each_at_key(
-      le.key, [&](std::uint32_t, const core::CompressedChain&) {
-        has_piece = true;  // chain members carry a derived piece by definition
-      });
+  const auto& nd = s.sys->node(owner.host);
+  const auto* zs = nd.find_zone_by_key(le.key);
+  const bool has_piece =
+      (zs != nullptr && zs->has_parent_piece()) ||
+      nd.saturated(core::ZoneAddr{scheme, 0, le.zone}, le.key);
   EXPECT_TRUE(has_piece) << "leaf zone has no state: chain is broken";
 
   // And the delivery actually happens.

@@ -27,12 +27,13 @@ Subcommands:
       least the reduction fraction, and the fresh peak RSS must stay
       under an absolute ceiling (the CI smoke budget). Both runs measure
       the same workload seeds on the same host class, so the ratios are
-      stable where absolute seconds are not. When a pre-compression
-      baseline (bench/BENCH_scale_precompress.json — the same build with
-      --no-compress) is supplied, the fresh run's zone-tree bytes must
-      additionally shrink by at least the zone-tree-reduction floor, and
-      delivery parity against that baseline is enforced (compression is a
-      representation change, not a behavior change).
+      stable where absolute seconds are not. When the all-materialized
+      baseline (bench/BENCH_scale_precompress.json — every zone a
+      ZoneState; frozen, the flag that wrote it is gone) is supplied, the
+      fresh run's zone-tree bytes must additionally shrink by at least the
+      zone-tree-reduction floor, saturated zones must exist, and delivery
+      and hash parity against that baseline is enforced (saturated zones
+      are a representation change, not a behavior change).
 
   golden COMMITTED.json FRESH.json
       Re-derive a committed BENCH_sim.json's golden hash: FRESH.json must
@@ -247,9 +248,9 @@ def cmd_scale(args):
         failures.append(f"setup speedup {speedup:.2f}x below "
                         f"{args.min_setup_speedup:.1f}x floor")
 
-    # Path-compressed zone tree: gate the representation's memory win
-    # against the same-build uncompressed run, and its behavior against
-    # the same run's deliveries/hash.
+    # Saturated zones: gate the representation's memory win against the
+    # all-materialized run, and its behavior against that run's
+    # deliveries/hash.
     if args.precompress_baseline:
         pre_doc, pre = load_scale_point(args.precompress_baseline, args.point)
         if "zone_tree_bytes" not in fresh or "zone_tree_bytes" not in pre:
@@ -257,27 +258,28 @@ def cmd_scale(args):
                      "bench/micro_scale with --mem-breakdown")
         zreduction = 1.0 - fresh["zone_tree_bytes"] / pre["zone_tree_bytes"]
         mib = 1.0 / (1 << 20)
-        print(f"  zone tree: uncompressed "
-              f"{pre['zone_tree_bytes'] * mib:.1f} MiB -> compressed "
+        print(f"  zone tree: all materialized "
+              f"{pre['zone_tree_bytes'] * mib:.1f} MiB -> fresh "
               f"{fresh['zone_tree_bytes'] * mib:.1f} MiB "
               f"(-{zreduction:.1%}, floor "
               f"{args.min_zone_tree_reduction:.0%}); "
-              f"{fresh.get('chain_records', 0)} chains cover "
-              f"{fresh.get('implicit_zones', 0)} implicit zones, "
+              f"{fresh.get('implicit_zones', 0)} saturated zones, "
               f"{fresh.get('materialized_zones', 0)} materialized")
         if zreduction < args.min_zone_tree_reduction:
             failures.append(f"zone-tree reduction {zreduction:.1%} below "
                             f"{args.min_zone_tree_reduction:.0%} floor")
         if fresh.get("implicit_zones", 0) <= 0:
-            failures.append("compressed run has no implicit zones "
-                            "(chains never formed)")
+            failures.append("run has no saturated zones "
+                            "(implicit_zones is 0)")
         if pre_doc.get("events") == fresh_doc.get("events"):
             if fresh["deliveries"] != pre["deliveries"]:
-                failures.append("delivery count diverges from uncompressed "
-                                "run (compression changed behavior)")
+                failures.append("delivery count diverges from the "
+                                "all-materialized run (saturated zones "
+                                "changed behavior)")
             if fresh.get("snapshot_hash") != pre.get("snapshot_hash"):
-                failures.append("snapshot hash diverges from uncompressed "
-                                "run (compression changed behavior)")
+                failures.append("snapshot hash diverges from the "
+                                "all-materialized run (saturated zones "
+                                "changed behavior)")
     if rss_reduction < args.min_rss_reduction:
         failures.append(f"peak-RSS reduction {rss_reduction:.1%} below "
                         f"{args.min_rss_reduction:.0%} floor")
@@ -497,12 +499,12 @@ def main():
                     help="absolute fresh peak-RSS ceiling in GiB "
                          "(default 1.5)")
     sc.add_argument("--precompress-baseline", default=None,
-                    help="committed BENCH_scale_precompress.json (same "
-                         "build, --no-compress); enables the zone-tree "
+                    help="committed BENCH_scale_precompress.json (every "
+                         "zone materialized; frozen); enables the zone-tree "
                          "memory gate")
     sc.add_argument("--min-zone-tree-reduction", type=float, default=0.25,
                     help="required fractional zone-tree-bytes reduction vs "
-                         "the pre-compression baseline (default 0.25)")
+                         "the all-materialized baseline (default 0.25)")
     sc.set_defaults(fn=cmd_scale)
 
     g = sub.add_parser("golden",
