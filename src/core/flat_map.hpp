@@ -2,7 +2,7 @@
 // Open-addressing hash map with linear probing and backward-shift deletion.
 //
 // Replaces std::unordered_map for the per-node key indexes (zones_by_key_
-// and the chain key index): at saturation scale those hold millions of
+// and the saturated-zone masks): at saturation scale those hold millions of
 // entries, and the node-based map pays one heap allocation plus two
 // pointers of bucket/next overhead per entry on top of the payload. This
 // map stores keys, values and a one-byte occupancy flag in three flat

@@ -354,7 +354,7 @@ const HyperRect& ZoneState::child_piece(int digit) const {
 void ZoneState::set_child_piece(int digit, HyperRect piece) {
   if (piece.empty()) {
     // Clearing: release the cache vector entirely when the last non-empty
-    // entry goes — zones demoted to structural (and later chain-absorbed)
+    // entry goes — zones demoted to structural (and later folded)
     // must not keep a base-sized rect vector alive.
     if (std::size_t(digit) >= child_pieces_.size()) return;
     child_pieces_[std::size_t(digit)] = HyperRect{};
