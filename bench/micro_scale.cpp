@@ -26,7 +26,10 @@
 // zones, saturated-zone masks, key indexes) separately from subscription
 // storage; --mem-breakdown prints it. The json keeps the chain_records /
 // implicit_zones keys of earlier files (the sanity gate reads them): both
-// now count saturated zones, and saturated_bytes is their masks.
+// now count saturated zones, and saturated_bytes is their masks. Each
+// point's "bulk" object is HyperSubSystem::bulk_stats(): the set-up
+// counters, which depend only on the workload (the sanity gate compares
+// them with the committed file), and the per-phase wall seconds.
 
 #include <chrono>
 #include <cstdio>
@@ -79,6 +82,7 @@ struct PointResult {
   std::size_t zone_index_bytes = 0;
   std::size_t zone_tree_bytes = 0;
   std::size_t sub_bytes = 0;
+  core::HyperSubSystem::BulkStats bulk;  // zeros on the legacy path
   std::uint64_t executed = 0;
   double events_per_sec = 0.0;
   std::uint64_t deliveries = 0;
@@ -179,6 +183,7 @@ PointResult run_point(std::size_t nodes, std::size_t subs_per_node,
   r.zone_index_bytes = mb.key_index_bytes;
   r.zone_tree_bytes = mb.zone_tree_bytes();
   r.sub_bytes = mb.sub_bytes;
+  r.bulk = sys.bulk_stats();
   r.executed = sim.executed() - before;
   r.events_per_sec = double(r.executed) / secs_between(t2, t3);
   r.deliveries = sink.count();
@@ -208,6 +213,15 @@ void print_mem_breakdown(const PointResult& r) {
       double(r.zone_materialized_bytes) / mib, r.implicit_zones,
       double(r.saturated_bytes) / mib,
       double(r.zone_index_bytes) / mib, double(r.sub_bytes) / mib);
+  const auto& b = r.bulk;
+  std::printf(
+      "[micro_scale]   bulk setup: plan %.3f s, installs %.3f s "
+      "(%llu indexes built), cascade %.3f s (%llu zones, %llu children "
+      "saturated by the fast path, %llu through clip)\n",
+      b.plan_s, b.install_s, (unsigned long long)b.indexes_built,
+      b.cascade_s, (unsigned long long)b.zones_cascaded,
+      (unsigned long long)b.children_fast,
+      (unsigned long long)b.children_clipped);
 }
 
 }  // namespace
@@ -280,7 +294,11 @@ int main(int argc, char** argv) {
                  "\"saturated_bytes\": %zu, \"zone_index_bytes\": %zu, "
                  "\"zone_tree_bytes\": %zu, \"sub_bytes\": %zu, "
                  "\"events_per_sec\": %.0f, "
-                 "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\"}%s\n",
+                 "\"deliveries\": %llu, \"snapshot_hash\": \"%016llx\", "
+                 "\"bulk\": {\"zones_cascaded\": %llu, "
+                 "\"children_fast\": %llu, \"children_clipped\": %llu, "
+                 "\"indexes_built\": %llu, \"plan_s\": %.3f, "
+                 "\"install_s\": %.3f, \"cascade_s\": %.3f}}%s\n",
                  r.nodes, r.subs_per_node, r.subs, r.setup_seconds,
                  r.peak_rss_bytes, r.materialized_zones, r.chain_records,
                  r.implicit_zones, r.zone_materialized_bytes,
@@ -288,6 +306,11 @@ int main(int argc, char** argv) {
                  r.sub_bytes, r.events_per_sec,
                  (unsigned long long)r.deliveries,
                  (unsigned long long)r.snapshot_hash,
+                 (unsigned long long)r.bulk.zones_cascaded,
+                 (unsigned long long)r.bulk.children_fast,
+                 (unsigned long long)r.bulk.children_clipped,
+                 (unsigned long long)r.bulk.indexes_built, r.bulk.plan_s,
+                 r.bulk.install_s, r.bulk.cascade_s,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, " ]\n}\n");

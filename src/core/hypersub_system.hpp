@@ -209,6 +209,23 @@ class HyperSubSystem {
                                                  std::vector<BulkSub> subs,
                                                  unsigned threads = 1);
 
+  /// What bulk_subscribe did, summed over its calls. The counts depend only
+  /// on the inputs; the phase seconds are wall-clock and stay out of every
+  /// hash and snapshot.
+  struct BulkStats {
+    std::uint64_t zones_cascaded = 0;  ///< zones that pushed pieces down
+    /// Children of saturated zones: those handled without building a
+    /// rectangle, and those whose split rounded past the parent's interval
+    /// so clip() computed their piece.
+    std::uint64_t children_fast = 0;
+    std::uint64_t children_clipped = 0;
+    std::uint64_t indexes_built = 0;  ///< SubIndex builds by the installs
+    double plan_s = 0.0;     ///< Phase A: subscriber bookkeeping, planning
+    double install_s = 0.0;  ///< Phase B: zone installs and index builds
+    double cascade_s = 0.0;  ///< Phase C: the summary-piece fixpoint
+  };
+  const BulkStats& bulk_stats() const noexcept { return bulk_stats_; }
+
   /// Publish an event (Alg. 4). Asynchronous; returns the event sequence
   /// number used in metrics and the delivery log.
   std::uint64_t publish(net::HostIndex publisher, std::uint32_t scheme,
@@ -724,6 +741,7 @@ class HyperSubSystem {
   std::vector<TransferOut> transfers_out_;
   std::vector<WarmState> warm_;
   JoinStats join_stats_;  ///< global transfer counters
+  BulkStats bulk_stats_;
 
   // Event-delivery scratch, reused across process_event_message calls so
   // that a message's only allocation is the chunk block of each outgoing

@@ -3,13 +3,44 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace hypersub::core {
 
+namespace {
+
+/// Put the entries of `v[lo, hi)` whose sorted positions are ranks[0, n)
+/// (ascending, distinct, all in [lo, hi)) where std::sort would, leaving
+/// the rest partitioned around them: a build needs only the cell
+/// boundaries' order statistics, not the whole sorted endpoint list.
+void select_ranks(std::vector<double>& v, std::size_t lo, std::size_t hi,
+                  const std::size_t* ranks, std::size_t n) {
+  if (n == 0) return;
+  const std::size_t mid = n / 2;
+  const std::size_t at = ranks[mid];
+  std::nth_element(v.begin() + std::ptrdiff_t(lo),
+                   v.begin() + std::ptrdiff_t(at),
+                   v.begin() + std::ptrdiff_t(hi));
+  select_ranks(v, lo, at, ranks, mid);
+  select_ranks(v, at + 1, hi, ranks + mid + 1, n - mid - 1);
+}
+
+}  // namespace
+
 std::size_t SubIndex::cell_of(const Dim& d, double x) {
-  return std::size_t(
-      std::upper_bound(d.bounds.begin(), d.bounds.end(), x) -
-      d.bounds.begin());
+  // std::upper_bound without data-dependent branches: the trip count
+  // depends only on the bound count, and each step is a conditional move.
+  // Builds locate every endpoint this way and events every coordinate,
+  // and neither order is one a branch predictor can learn.
+  const double* first = d.bounds.data();
+  std::size_t len = d.bounds.size();
+  if (len == 0) return 0;
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    first = (x < first[half]) ? first : first + half;
+    len -= half;
+  }
+  return std::size_t(first - d.bounds.data()) + (x < *first ? 0 : 1);
 }
 
 std::uint32_t SubIndex::insert(const HyperRect& range) {
@@ -75,30 +106,75 @@ void SubIndex::clear_bits(const HyperRect& r, std::uint32_t slot) {
   }
 }
 
+void SubIndex::assign(std::vector<HyperRect> ranges) {
+  rects_ = std::move(ranges);
+  free_.clear();
+  live_ = rects_.size();
+  dims_.assign(rects_.empty() ? 0 : rects_.front().dimensions(), Dim{});
+  rebuild();
+}
+
 void SubIndex::rebuild() {
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  const std::size_t n = rects_.size();
   std::vector<double> endpoints;
+  endpoints.reserve(2 * live_);
+  std::vector<std::size_t> ranks;
+  // Per cell, singly linked lists of the slots whose range starts there
+  // and of those whose range ends there; `active` is the sweep's running
+  // set of ranges overlapping the current cell.
+  std::vector<std::uint32_t> head_in, head_out;
+  std::vector<std::uint32_t> next_in(n), next_out(n);
+  std::vector<std::uint64_t> active((n + 63) / 64, 0);
   for (std::size_t d = 0; d < dims_.size(); ++d) {
     Dim& dim = dims_[d];
     endpoints.clear();
-    endpoints.reserve(2 * live_);
     for (const auto& r : rects_) {
       if (r.empty()) continue;
       endpoints.push_back(r.dim(d).lo);
       endpoints.push_back(r.dim(d).hi);
     }
-    std::sort(endpoints.begin(), endpoints.end());
-    // Equi-depth boundaries over the endpoint list; duplicates collapse, so
-    // a degenerate (single-valued) dimension ends up with <= 2 cells.
-    dim.bounds.clear();
+    // Equi-depth boundaries over the sorted endpoint list; duplicates
+    // collapse, so a degenerate (single-valued) dimension ends up with <= 2
+    // cells.
     const std::size_t c = cfg_.cells_per_dim;
+    ranks.clear();
     for (std::size_t k = 1; k < c && !endpoints.empty(); ++k) {
-      const double b = endpoints[k * endpoints.size() / c];
+      const std::size_t r = k * endpoints.size() / c;
+      if (ranks.empty() || ranks.back() < r) ranks.push_back(r);
+    }
+    select_ranks(endpoints, 0, endpoints.size(), ranks.data(), ranks.size());
+    dim.bounds.clear();
+    for (const std::size_t r : ranks) {
+      const double b = endpoints[r];
       if (dim.bounds.empty() || dim.bounds.back() < b) dim.bounds.push_back(b);
     }
-    dim.cells.assign(dim.bounds.size() + 1, {});
-  }
-  for (std::uint32_t s = 0; s < rects_.size(); ++s) {
-    if (!rects_[s].empty()) set_bits(rects_[s], s);
+    const std::size_t cells = dim.bounds.size() + 1;
+    dim.cells.assign(cells, {});
+    head_in.assign(cells, kNone);
+    head_out.assign(cells, kNone);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const HyperRect& r = rects_[s];
+      if (r.empty()) continue;
+      const std::size_t c0 = cell_of(dim, r.dim(d).lo);
+      const std::size_t c1 = cell_of(dim, r.dim(d).hi);
+      next_in[s] = std::exchange(head_in[c0], s);
+      next_out[s] = std::exchange(head_out[c1], s);
+    }
+    // Each cell holds exactly the ranges overlapping it, trimmed after the
+    // last non-zero word — what per-range insertion would have left.
+    for (std::size_t cell = 0; cell < cells; ++cell) {
+      for (std::uint32_t s = head_in[cell]; s != kNone; s = next_in[s]) {
+        active[s / 64] |= std::uint64_t{1} << (s % 64);
+      }
+      std::size_t len = active.size();
+      while (len > 0 && active[len - 1] == 0) --len;
+      dim.cells[cell].assign(active.begin(),
+                             active.begin() + std::ptrdiff_t(len));
+      for (std::uint32_t s = head_out[cell]; s != kNone; s = next_out[s]) {
+        active[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+      }
+    }
   }
   built_size_ = live_;
 }

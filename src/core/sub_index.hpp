@@ -18,7 +18,12 @@
 // the bit of every range containing the point. The partition only controls
 // selectivity, and is re-derived from the current endpoint lists whenever
 // the live count doubles (or collapses to half) since the last build, so
-// incremental insert/remove between rebuilds stays O(cells touched).
+// incremental insert/remove between rebuilds stays O(cells touched). A
+// build selects each dimension's boundaries (order statistics of its
+// endpoint list) and then sweeps the cells in order, copying the running
+// set of overlapping ranges into each cell, so its cost does not grow with
+// how many cells a wide range spans. assign() builds a whole population
+// that way in one pass.
 //
 // Dimensions whose endpoints are all identical (discrete / equality-only
 // attributes, or string attributes pre-mapped to a single code) degenerate
@@ -49,6 +54,12 @@ class SubIndex {
   /// Index a range; returns its stable slot. The first insert fixes the
   /// dimensionality; all ranges must share it.
   std::uint32_t insert(const HyperRect& range);
+
+  /// Replace the contents with `ranges` at slots 0..n-1, built in one
+  /// pass. Candidates are what inserting them one by one into an empty
+  /// index would give; only the cell boundaries (selectivity) and the next
+  /// rebuild point, which counts from n, can differ.
+  void assign(std::vector<HyperRect> ranges);
 
   /// Drop a previously inserted range; its slot is recycled.
   void remove(std::uint32_t slot);

@@ -30,23 +30,32 @@ void ZoneState::set_index_threshold(std::size_t threshold) {
   // if the new threshold indexes the empty set (threshold 0).
   if (!store_ && threshold > 0) return;
   SubStore& st = store();
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
+  build_index_if_due();
   if (st.indexed && st.order.size() < index_threshold_) drop_index();
 }
 
 void ZoneState::build_index() {
   SubStore& st = store();
-  st.index = SubIndex{};
-  st.slots.clear();
-  st.pos_of_slot.clear();
-  st.slots.reserve(st.order.size());
+  // One pass over the representatives in insertion order: slot i is
+  // order[i], as inserting them one by one would have assigned.
+  std::vector<HyperRect> rects;
+  rects.reserve(st.order.size());
+  for (const SubArena::Ref ref : st.order) {
+    rects.push_back(st.arena.full_rect(ref));
+  }
+  st.index.assign(std::move(rects));
+  st.slots.resize(st.order.size());
+  st.pos_of_slot.resize(st.order.size());
   for (std::size_t i = 0; i < st.order.size(); ++i) {
-    const std::uint32_t slot = st.index.insert(st.arena.full_rect(st.order[i]));
-    st.slots.push_back(slot);
-    if (st.pos_of_slot.size() <= slot) st.pos_of_slot.resize(slot + 1, kNoPos);
-    st.pos_of_slot[slot] = i;
+    st.slots[i] = std::uint32_t(i);
+    st.pos_of_slot[i] = i;
   }
   st.indexed = true;
+}
+
+bool ZoneState::index_due() const noexcept {
+  return store_ && !store_->indexed &&
+         store_->order.size() >= index_threshold_;
 }
 
 void ZoneState::drop_index() {
@@ -90,7 +99,7 @@ void ZoneState::append_representative(SubStore& st, SubArena::Ref ref) {
     st.pos_of_slot[slot] = st.order.size();
   }
   st.order.push_back(ref);
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
+  build_index_if_due();
 }
 
 void ZoneState::rehome_coveree(SubStore& st, SubArena::Ref ref) {
@@ -108,6 +117,12 @@ void ZoneState::rehome_coveree(SubStore& st, SubArena::Ref ref) {
 }
 
 bool ZoneState::add_subscription(StoredSub s) {
+  const bool grew = stage_subscription(std::move(s));
+  build_index_if_due();
+  return grew;
+}
+
+bool ZoneState::stage_subscription(StoredSub s) {
   SubStore& st = store();
   if (cover_) {
     const SubArena::Ref rep = find_coverer(st, s.sub.range());
@@ -129,7 +144,6 @@ bool ZoneState::add_subscription(StoredSub s) {
     st.pos_of_slot[slot] = st.order.size();
   }
   st.order.push_back(st.arena.add(s));
-  if (!st.indexed && st.order.size() >= index_threshold_) build_index();
   if (grown == summary_) return false;
   summary_ = grown;
   return true;

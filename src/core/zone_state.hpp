@@ -117,6 +117,18 @@ class ZoneState {
   /// return is always false for quenched installs.
   bool add_subscription(StoredSub s);
 
+  /// Batch form of add_subscription: stores `s` but leaves building the
+  /// index to the caller (a live index is still kept up to date). Once the
+  /// batch is in, build_index_if_due() builds it in one pass over the
+  /// final population, the same index the one-by-one path would hold.
+  bool stage_subscription(StoredSub s);
+  /// Returns true if it built the index.
+  bool build_index_if_due() {
+    if (!index_due()) return false;
+    build_index();
+    return true;
+  }
+
   /// Remove a subscription by owner identity; returns the removed entry.
   /// Shrinks the summary filter (recomputed exactly). Removing a covering
   /// representative promotes its coverees in quench order: each either
@@ -258,6 +270,8 @@ class ZoneState {
   };
 
   SubStore& store();  // find-or-create
+  /// The representatives have reached the threshold of an unbuilt index.
+  bool index_due() const noexcept;
   void build_index();
   void drop_index();
   /// First representative (insertion order) whose full rect covers `full`;

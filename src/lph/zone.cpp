@@ -34,31 +34,35 @@ int ZoneSystem::digit(const Zone& z, int i) const {
   return int((z.code >> shift) & ((std::uint64_t(1) << cfg_.base_bits) - 1));
 }
 
+Interval ZoneSystem::narrow(const Interval& iv, int digit) const {
+  const double w = iv.length() / double(base());
+  const double lo = iv.lo + w * double(digit);
+  return Interval{lo, lo + w};
+}
+
 HyperRect ZoneSystem::extent(const Zone& z) const {
   HyperRect r = space_;
   for (int i = 1; i <= z.level; ++i) {
-    const std::size_t j = split_dimension(i - 1);
-    const int p = digit(z, i);
-    Interval& iv = r.dim(j);
-    const double w = iv.length() / double(base());
-    const double lo = iv.lo + w * double(p);
-    iv = Interval{lo, lo + w};
+    Interval& iv = r.dim(split_dimension(i - 1));
+    iv = narrow(iv, digit(z, i));
   }
   return r;
 }
 
+Interval ZoneSystem::extent_interval(const Zone& z, std::size_t j) const {
+  // Levels i with split_dimension(i - 1) == j, in extent()'s order.
+  const std::size_t d = space_.dimensions();
+  Interval iv = space_.dim(j);
+  for (std::size_t i = j + 1; i <= std::size_t(z.level); i += d) {
+    iv = narrow(iv, digit(z, int(i)));
+  }
+  return iv;
+}
+
 bool ZoneSystem::extent_contains(const Zone& z, const Point& p) const {
   assert(p.size() == space_.dimensions());
-  const std::size_t d = space_.dimensions();
-  for (std::size_t j = 0; j < d; ++j) {
-    // Levels i with split_dimension(i - 1) == j, in extent()'s order.
-    Interval iv = space_.dim(j);
-    for (std::size_t i = j + 1; i <= std::size_t(z.level); i += d) {
-      const double w = iv.length() / double(base());
-      const double lo = iv.lo + w * double(digit(z, int(i)));
-      iv = Interval{lo, lo + w};
-    }
-    if (!iv.contains(p[j])) return false;
+  for (std::size_t j = 0; j < space_.dimensions(); ++j) {
+    if (!extent_interval(z, j).contains(p[j])) return false;
   }
   return true;
 }

@@ -80,6 +80,15 @@ class ZoneSystem {
   /// zone-chain member).
   bool extent_contains(const Zone& z, const Point& p) const;
 
+  /// extent(z).dim(j), computed alone with the same arithmetic (so it is
+  /// bit-identical) and without allocating.
+  Interval extent_interval(const Zone& z, std::size_t j) const;
+
+  /// The `digit`-th of the base() equal parts of `iv`: one split step of
+  /// extent(), so narrowing a zone's interval on the dimension split below
+  /// it gives its child's interval bit for bit.
+  Interval narrow(const Interval& iv, int digit) const;
+
   /// Dimension split when descending FROM level `level` (0-based level of
   /// the parent); the paper's j = i mod d with i = level+1.
   std::size_t split_dimension(int level) const {

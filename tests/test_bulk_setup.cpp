@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "chord/chord_net.hpp"
+#include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
 #include "metrics/snapshot.hpp"
 #include "net/topology.hpp"
@@ -49,15 +53,21 @@ struct Stack {
     return cp;
   }
 
-  explicit Stack(HyperSubSystem::Config cfg = {})
+  static pubsub::Scheme table1_scheme() {
+    return workload::WorkloadGenerator(workload::table1_spec(), kSeed + 1)
+        .scheme();
+  }
+
+  explicit Stack(HyperSubSystem::Config cfg = {},
+                 pubsub::Scheme content = table1_scheme(),
+                 lph::ZoneSystem::Config zones = {1, 20})
       : topo(topo_params()),
         net(sim, topo),
         chord(net, chord_params()),
         sys(chord, (cfg.bootstrap = core::BootstrapMode::kOracle, cfg)) {
-    workload::WorkloadGenerator gen(workload::table1_spec(), kSeed + 1);
     core::SchemeOptions opt;
-    opt.zone_cfg = {1, 20};
-    scheme = sys.add_scheme(gen.scheme(), opt);
+    opt.zone_cfg = zones;
+    scheme = sys.add_scheme(std::move(content), opt);
   }
 };
 
@@ -199,6 +209,184 @@ TEST(BulkSetup, ReplicasMirrored) {
         << "host " << h;
   }
   EXPECT_EQ(simulated.sys.node_loads(), bulk.sys.node_loads());
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The checkpoint image of a bulk set-up, pinned to what the per-insert
+// index builds and the all-geometry cascade left: building each zone's
+// index once and saturating children without rectangles must not move a
+// byte, the per-zone index flags included (threshold 4 indexes many zones).
+TEST(BulkSetup, CheckpointImagePinned) {
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {core::ZoneState::kDefaultIndexThreshold, 0xbb9dd2e55d4d7a59ull},
+      {4, 0xe0a43cbdbf062023ull},
+  };
+  for (const auto& [threshold, pinned] : cases) {
+    HyperSubSystem::Config cfg;
+    cfg.match_index_threshold = threshold;
+    Stack s(cfg);
+    s.sys.bulk_subscribe(s.scheme, make_batch(), 2);
+    common::ByteWriter w;
+    s.sys.save_state(w);
+    EXPECT_EQ(fnv1a(w.data()), pinned)
+        << "threshold " << threshold << std::hex << ": image 0x"
+        << fnv1a(w.data());
+  }
+}
+
+// Domain bounds whose halving rounds: [0.1, 0.7] and [0, 1/3]. A child's
+// interval can then reach past its parent's, so the cascade takes clip()
+// for it instead of the geometry-free bit; the result must still be what
+// routed installs converge to, and independent of the thread count.
+pubsub::Scheme non_dyadic_scheme() {
+  return pubsub::Scheme("odd", {{"x", Interval{0.1, 0.7}},
+                                {"y", Interval{0.0, 1.0 / 3.0}}});
+}
+
+std::vector<HyperSubSystem::BulkSub> non_dyadic_batch() {
+  const pubsub::Scheme scheme = non_dyadic_scheme();
+  Rng rng(kSeed + 5);
+  std::vector<HyperSubSystem::BulkSub> batch;
+  for (std::size_t i = 0; i < 300; ++i) {
+    std::vector<Interval> dims;
+    for (std::size_t d = 0; d < scheme.arity(); ++d) {
+      const Interval dom = scheme.attribute(d).domain;
+      // One in eight spans the attribute, so summaries hull up to the
+      // domain and the cascade reaches every zone.
+      if (rng.chance(0.125)) {
+        dims.push_back(dom);
+        continue;
+      }
+      const double a = rng.uniform(dom.lo, dom.hi);
+      const double b = std::min(dom.hi, a + rng.uniform(0.0, dom.length() / 4));
+      dims.push_back(Interval{a, b});
+    }
+    batch.push_back({net::HostIndex(rng.index(kHosts)),
+                     pubsub::Subscription(HyperRect(std::move(dims)))});
+  }
+  return batch;
+}
+
+std::vector<SubscriptionHandle> install_routed(
+    Stack& s, std::vector<HyperSubSystem::BulkSub> batch) {
+  std::vector<SubscriptionHandle> handles;
+  for (auto& b : batch) {
+    handles.push_back(s.sys.subscribe(b.subscriber, s.scheme, b.sub));
+  }
+  s.sim.run();
+  return handles;
+}
+
+std::vector<std::pair<std::size_t, std::uint32_t>> deliver_points(
+    Stack& s, int events) {
+  const pubsub::Scheme scheme = non_dyadic_scheme();
+  Rng rng(kSeed + 6);
+  for (int e = 0; e < events; ++e) {
+    pubsub::Event ev;
+    for (std::size_t d = 0; d < scheme.arity(); ++d) {
+      const Interval dom = scheme.attribute(d).domain;
+      ev.point.push_back(rng.uniform(dom.lo, dom.hi));
+    }
+    s.sys.publish(net::HostIndex(rng.index(kHosts)), s.scheme, ev);
+  }
+  s.sim.run();
+  s.sys.finalize_events();
+  std::vector<std::pair<std::size_t, std::uint32_t>> got;
+  for (const auto& d : s.sys.deliveries()) got.push_back({d.subscriber, d.iid});
+  return got;
+}
+
+TEST(BulkSetup, NonDyadicBoundsTakeTheClipPath) {
+  const lph::ZoneSystem::Config zones{1, 12};
+  Stack routed({}, non_dyadic_scheme(), zones);
+  const auto routed_handles = install_routed(routed, non_dyadic_batch());
+
+  Stack bulk({}, non_dyadic_scheme(), zones);
+  const auto bulk_handles =
+      bulk.sys.bulk_subscribe(bulk.scheme, non_dyadic_batch(), 1);
+  const auto& stats = bulk.sys.bulk_stats();
+  EXPECT_GT(stats.children_clipped, 0u);
+  EXPECT_GT(stats.children_fast, 0u);
+
+  EXPECT_EQ(routed_handles, bulk_handles);
+  EXPECT_EQ(routed.sys.node_loads(), bulk.sys.node_loads());
+  EXPECT_EQ(routed.sys.node_stored_entries(), bulk.sys.node_stored_entries());
+  EXPECT_EQ(zone_fingerprint(routed.sys), zone_fingerprint(bulk.sys));
+  EXPECT_EQ(routed.sys.zone_content_digest(), bulk.sys.zone_content_digest());
+  // check_zone_invariants() is left out: on these bounds locate() puts a
+  // subscription by a child's upper bound lo + 2w, while extent() computes
+  // (lo + w) + w, so a stored rect can overhang its zone's extent by an
+  // ulp. That is placement, shared by both install paths, not the cascade.
+
+  Stack four({}, non_dyadic_scheme(), zones);
+  four.sys.bulk_subscribe(four.scheme, non_dyadic_batch(), 4);
+  EXPECT_EQ(zone_fingerprint(bulk.sys), zone_fingerprint(four.sys));
+  EXPECT_EQ(bulk.sys.zone_content_digest(), four.sys.zone_content_digest());
+  EXPECT_EQ(four.sys.bulk_stats().children_clipped, stats.children_clipped);
+  EXPECT_EQ(four.sys.bulk_stats().children_fast, stats.children_fast);
+
+  const auto routed_got = deliver_points(routed, 30);
+  const auto bulk_got = deliver_points(bulk, 30);
+  EXPECT_FALSE(bulk_got.empty());
+  EXPECT_EQ(std::multiset(routed_got.begin(), routed_got.end()),
+            std::multiset(bulk_got.begin(), bulk_got.end()));
+  EXPECT_EQ(bulk_got, deliver_points(four, 30));
+  EXPECT_EQ(metrics::snapshot(bulk.sys).to_json(),
+            metrics::snapshot(four.sys).to_json());
+}
+
+// The table1 tree splits [0, 10^k] domains exactly, so every child of a
+// saturated zone takes the geometry-free path, and each zone's index is
+// built at most once.
+TEST(BulkSetup, DyadicCascadeNeverClips) {
+  HyperSubSystem::Config cfg;
+  cfg.match_index_threshold = 4;
+  Stack s(cfg);
+  s.sys.bulk_subscribe(s.scheme, make_batch());
+  const auto& stats = s.sys.bulk_stats();
+  EXPECT_EQ(stats.children_clipped, 0u);
+  EXPECT_GT(stats.children_fast, 0u);
+  EXPECT_GT(stats.zones_cascaded, 0u);
+  std::size_t indexed = 0;
+  for (net::HostIndex h = 0; h < kHosts; ++h) {
+    for (const auto& [addr, z] : s.sys.node(h).zones()) {
+      indexed += z.index_active() ? 1 : 0;
+    }
+  }
+  EXPECT_GT(indexed, 0u);
+  EXPECT_EQ(stats.indexes_built, indexed);
+}
+
+// A second batch lands on a tree the first one saturated: its installs
+// must find their zones as the routed path does (materialized from the
+// saturated bit, not re-created empty beside it), so two batches leave the
+// tree one batch leaves.
+TEST(BulkSetup, SecondBatchOnSaturatedTree) {
+  Stack one;
+  one.sys.bulk_subscribe(one.scheme, make_batch());
+
+  Stack two;
+  auto batch = make_batch();
+  std::vector<HyperSubSystem::BulkSub> rest(
+      std::make_move_iterator(batch.begin() + kSubs / 2),
+      std::make_move_iterator(batch.end()));
+  batch.resize(kSubs / 2);
+  two.sys.bulk_subscribe(two.scheme, std::move(batch));
+  two.sys.bulk_subscribe(two.scheme, std::move(rest));
+
+  EXPECT_TRUE(two.sys.check_zone_invariants());
+  EXPECT_EQ(one.sys.zone_content_digest(), two.sys.zone_content_digest());
+  EXPECT_EQ(zone_fingerprint(one.sys), zone_fingerprint(two.sys));
+  EXPECT_EQ(one.sys.node_loads(), two.sys.node_loads());
+  EXPECT_EQ(deliver_events(one, 20), deliver_events(two, 20));
 }
 
 TEST(BulkSetup, UnsubscribeAfterBulkInstall) {

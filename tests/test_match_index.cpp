@@ -12,6 +12,8 @@
 #include <set>
 
 #include "chord/chord_net.hpp"
+#include "common/rng.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
 #include "core/sub_index.hpp"
 #include "core/zone_state.hpp"
@@ -99,7 +101,141 @@ TEST(SubIndex, SlotRecyclingKeepsCapacityBounded) {
   EXPECT_LE(idx.slot_capacity(), 100u);
 }
 
+// Ranges drawn from the table1 workload, then given duplicates (copies of
+// earlier ranges) and one degenerate dimension (every range the same
+// point in dimension 3, so its endpoints are all identical).
+std::vector<HyperRect> bulk_parity_rects(workload::WorkloadGenerator& gen,
+                                         Rng& rng, std::size_t n) {
+  std::vector<HyperRect> rects;
+  for (std::size_t i = 0; i < n; ++i) {
+    HyperRect r = i > 0 && rng.chance(0.15) ? rects[rng.index(i)]
+                                            : gen.make_subscription().range();
+    r.dim(3) = Interval{2.0, 2.0};
+    rects.push_back(std::move(r));
+  }
+  return rects;
+}
+
+/// The slots whose range contains `p`, in slot order, after checking that
+/// the candidates hold every one of them.
+std::vector<std::uint32_t> exact_slots(const SubIndex& idx, const Point& p) {
+  std::vector<std::uint32_t> cand;
+  idx.candidates(p, cand);
+  EXPECT_TRUE(std::is_sorted(cand.begin(), cand.end()));
+  std::vector<std::uint32_t> exact;
+  for (const std::uint32_t c : cand) {
+    if (idx.slot_range(c).contains(p)) exact.push_back(c);
+  }
+  std::size_t live_hits = 0;
+  for (std::uint32_t s = 0; s < idx.slot_capacity(); ++s) {
+    const HyperRect& r = idx.slot_range(s);
+    if (!r.empty() && r.contains(p)) ++live_hits;
+  }
+  EXPECT_EQ(exact.size(), live_hits) << "candidates miss a containing range";
+  return exact;
+}
+
+TEST(SubIndex, BulkBuildMatchesPerInsert) {
+  for (const std::uint64_t seed : {3ull, 4ull, 5ull}) {
+    workload::WorkloadGenerator gen(workload::table1_spec(), seed);
+    Rng rng(seed);
+    const std::vector<HyperRect> rects =
+        bulk_parity_rects(gen, rng, 40 + rng.index(1500));
+    SubIndex per_insert;
+    for (std::uint32_t i = 0; i < rects.size(); ++i) {
+      ASSERT_EQ(per_insert.insert(rects[i]), i);
+    }
+    SubIndex bulk;
+    bulk.assign(rects);
+    ASSERT_EQ(bulk.size(), rects.size());
+    ASSERT_EQ(bulk.slot_capacity(), rects.size());
+
+    // Event points, corners of stored ranges (closed-boundary hits), and
+    // points off the degenerate dimension's only value.
+    const auto check = [&](const char* phase) {
+      for (int e = 0; e < 150; ++e) {
+        Point p = gen.make_event().point;
+        if (e % 3 == 1) {
+          const HyperRect& r = rects[rng.index(rects.size())];
+          for (std::size_t d = 0; d < p.size(); ++d) {
+            p[d] = e % 2 ? r.dim(d).lo : r.dim(d).hi;
+          }
+        }
+        p[3] = e % 5 == 0 ? 3.0 : 2.0;
+        ASSERT_EQ(exact_slots(per_insert, p), exact_slots(bulk, p))
+            << phase << " seed " << seed << " point " << e;
+      }
+    };
+    check("built");
+
+    // The same inserts and removes keep the two equal; their rebuild
+    // points differ (the bulk one counts from its build size).
+    std::vector<std::uint32_t> live(rects.size());
+    for (std::uint32_t i = 0; i < live.size(); ++i) live[i] = i;
+    for (int op = 0; op < 3000; ++op) {
+      if (!live.empty() && rng.chance(0.55)) {
+        const std::size_t k = rng.index(live.size());
+        per_insert.remove(live[k]);
+        bulk.remove(live[k]);
+        live[k] = live.back();
+        live.pop_back();
+      } else {
+        HyperRect r = gen.make_subscription().range();
+        r.dim(3) = Interval{2.0, 2.0};
+        const std::uint32_t slot = per_insert.insert(r);
+        ASSERT_EQ(bulk.insert(r), slot);
+        live.push_back(slot);
+      }
+    }
+    ASSERT_EQ(per_insert.size(), bulk.size());
+    check("mutated");
+  }
+}
+
 // -- ZoneState parity ---------------------------------------------------------
+
+// A zone filled through stage_subscription and then build_index_if_due
+// holds what add_subscription one by one leaves: the same index flag, the
+// same match output in the same order, and a byte-identical save() image.
+TEST(MatchIndexParity, StagedInstallMatchesOneByOne) {
+  for (const bool cover : {false, true}) {
+    for (const std::size_t n : {std::size_t{10}, std::size_t{64},
+                                std::size_t{700}}) {
+      workload::WorkloadGenerator gen(workload::table1_spec(), 90 + n);
+      ZoneState one_by_one(ZoneAddr{}, /*index_threshold=*/64, cover);
+      ZoneState staged(ZoneAddr{}, /*index_threshold=*/64, cover);
+      std::vector<SubId> owners;
+      for (std::size_t i = 0; i < n; ++i) {
+        const StoredSub s = make_stored(i, gen.make_subscription());
+        owners.push_back(s.owner);
+        one_by_one.add_subscription(s);
+        staged.stage_subscription(s);
+      }
+      EXPECT_FALSE(staged.index_active());
+      EXPECT_EQ(staged.build_index_if_due(), one_by_one.index_active());
+      EXPECT_FALSE(staged.build_index_if_due());
+      EXPECT_EQ(staged.index_active(), one_by_one.index_active());
+      for (int e = 0; e < 100; ++e) {
+        const Point p = gen.make_event().point;
+        ASSERT_EQ(match_of(staged, p), match_of(one_by_one, p))
+            << "n " << n << " cover " << cover << " event " << e;
+      }
+      common::ByteWriter a, b;
+      one_by_one.save(a);
+      staged.save(b);
+      EXPECT_EQ(a.data(), b.data()) << "n " << n << " cover " << cover;
+      // Both keep matching alike through later removals.
+      for (std::size_t i = 0; i < n; i += 3) {
+        EXPECT_EQ(one_by_one.remove_subscription(owners[i]).has_value(),
+                  staged.remove_subscription(owners[i]).has_value());
+      }
+      for (int e = 0; e < 50; ++e) {
+        const Point p = gen.make_event().point;
+        ASSERT_EQ(match_of(staged, p), match_of(one_by_one, p));
+      }
+    }
+  }
+}
 
 // Drives an indexed and a scan-only ZoneState through the same mutation
 // sequence and asserts bit-for-bit identical match output throughout.

@@ -20,6 +20,7 @@ Subcommands:
   scale BASELINE.json FRESH.json [--point SUBS] [--min-setup-speedup X]
         [--min-rss-reduction F] [--max-rss-gib G]
         [--precompress-baseline PRE.json] [--min-zone-tree-reduction F]
+        [--counters COMMITTED.json]
       Compare a fresh micro_scale run against the committed pre-arena
       baseline (bench/BENCH_scale_baseline.json) at the gated
       100k-subscription point: the arena/bulk-setup path must have cut
@@ -33,7 +34,13 @@ Subcommands:
       fresh run's zone-tree bytes must additionally shrink by at least the
       zone-tree-reduction floor, saturated zones must exist, and delivery
       and hash parity against that baseline is enforced (saturated zones
-      are a representation change, not a behavior change).
+      are a representation change, not a behavior change). With
+      --counters (the committed bench/BENCH_scale.json), the fresh point's
+      bulk set-up counters — zones cascaded, children saturated without
+      geometry, children that went through clip, indexes built — must
+      equal the committed ones exactly: they depend only on the workload
+      (set-up runs before the event feed, so --quick and --full agree), and
+      a change that sends the cascade back through clip moves them.
 
   golden COMMITTED.json FRESH.json
       Re-derive a committed BENCH_sim.json's golden hash: FRESH.json must
@@ -212,6 +219,10 @@ def cmd_trace(args):
 # scale: setup fast path + arena storage vs the committed pre-arena baseline
 # ---------------------------------------------------------------------------
 
+BULK_COUNTERS = ("zones_cascaded", "children_fast", "children_clipped",
+                 "indexes_built")
+
+
 def load_scale_point(path, subs):
     doc = load_json(path)
     for row in doc.get("points", []):
@@ -280,6 +291,18 @@ def cmd_scale(args):
                 failures.append("snapshot hash diverges from the "
                                 "all-materialized run (saturated zones "
                                 "changed behavior)")
+    if args.counters:
+        _, committed = load_scale_point(args.counters, args.point)
+        want = committed.get("bulk")
+        got = fresh.get("bulk")
+        if want is None or got is None:
+            sys.exit("error: bulk counters missing — regenerate with the "
+                     "current bench/micro_scale")
+        for key in BULK_COUNTERS:
+            print(f"  bulk {key}: committed {want[key]} -> fresh {got[key]}")
+            if got[key] != want[key]:
+                failures.append(f"bulk set-up counter {key} is {got[key]}, "
+                                f"committed {want[key]}")
     if rss_reduction < args.min_rss_reduction:
         failures.append(f"peak-RSS reduction {rss_reduction:.1%} below "
                         f"{args.min_rss_reduction:.0%} floor")
@@ -505,6 +528,9 @@ def main():
     sc.add_argument("--min-zone-tree-reduction", type=float, default=0.25,
                     help="required fractional zone-tree-bytes reduction vs "
                          "the all-materialized baseline (default 0.25)")
+    sc.add_argument("--counters", default=None,
+                    help="committed BENCH_scale.json; the fresh point's "
+                         "bulk set-up counters must equal its own")
     sc.set_defaults(fn=cmd_scale)
 
     g = sub.add_parser("golden",
