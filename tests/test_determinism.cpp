@@ -17,8 +17,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "chord/chord_net.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
 #include "core/load_balancer.hpp"
 #include "metrics/fastlane_metrics.hpp"
@@ -130,6 +132,114 @@ RunOutput run_once(RunOpts o) {
   return out;
 }
 
+/// A protocol join and then a graceful leave, each under a feed of routed
+/// subscribes and unsubscribes (every third op removes the oldest live
+/// subscription) and publishes, with two replicas: the transfer paths — the
+/// old owner's write-behind queue, the warming joiner's deferred writes and
+/// parked events, and the leaver's bridge to its successor. A 200 ms
+/// handover tick holds the join's commit back until the joiner's
+/// predecessor routes to it, so writes reach it while it warms.
+struct JoinLeaveOutput {
+  RunOutput run;
+  std::uint64_t zone_digest = 0;
+  std::vector<std::uint8_t> image;  ///< save_state at the end
+  core::HyperSubSystem::JoinStats stats;
+  bool invariants = false;
+};
+
+JoinLeaveOutput run_join_leave() {
+  constexpr std::size_t kHosts = 32;
+  constexpr net::HostIndex kJoiner = 9;
+  constexpr net::HostIndex kLeaver = 21;
+  net::KingLikeTopology::Params tp;
+  tp.hosts = kHosts;
+  tp.seed = 1;
+  net::KingLikeTopology topo(tp);
+  sim::Simulator sim;
+  net::Network net(sim, topo);
+  net.kill(kJoiner);  // enters later through the join protocol
+  chord::ChordNet::Params cp;
+  cp.seed = 1;
+  chord::ChordNet chord(net, cp);
+  core::HyperSubSystem::Config sc;
+  sc.bootstrap = core::BootstrapMode::kOracle;
+  sc.replicas = 2;
+  sc.handover_tick_ms = 200.0;
+  core::HyperSubSystem sys(chord, sc);
+  trace::Tracer tracer;
+  sys.set_tracer(&tracer);
+
+  workload::WorkloadGenerator gen(workload::tiny_spec(), 101);
+  core::SchemeOptions opt;
+  opt.zone_cfg = lph::ZoneSystem::Config::for_dims(2);
+  const auto scheme = sys.add_scheme(gen.scheme(), opt);
+  Rng rng(23);
+  const auto pick_host = [&] {
+    net::HostIndex h = net::HostIndex(rng.index(kHosts));
+    while (h == kJoiner || h == kLeaver) h = (h + 1) % kHosts;
+    return h;
+  };
+  std::vector<core::SubscriptionHandle> handles;
+  std::size_t oldest = 0;
+  for (int i = 0; i < 120; ++i) {
+    handles.push_back(sys.subscribe(pick_host(), scheme,
+                                    gen.make_subscription()));
+  }
+  sim.run();
+
+  // `n` writes at `cadence_ms` from now on, and a publish with every
+  // fifth, drawn up front.
+  const auto feed = [&](int n, double cadence_ms) {
+    for (int i = 0; i < n; ++i) {
+      const double at = cadence_ms * (i + 1);
+      if (i % 3 == 2) {
+        sim.schedule(at, [&] { sys.unsubscribe(handles[oldest++]); });
+      } else {
+        sim.schedule(at, [&, h = pick_host(), sub = gen.make_subscription()] {
+          handles.push_back(sys.subscribe(h, scheme, sub));
+        });
+      }
+      if (i % 5 == 4) {
+        sim.schedule(at, [&, h = pick_host(), ev = gen.make_event()] {
+          sys.publish(h, scheme, ev);
+        });
+      }
+    }
+  };
+
+  net.revive(kJoiner);
+  chord.start_maintenance();
+  sys.join_node(kJoiner, 0);
+  feed(600, 5.0);
+  sim.run_until(sim.now() + 30000.0);
+  chord.stop_maintenance();
+  sim.run();
+
+  sys.leave_node(kLeaver);
+  feed(300, 1.0);
+  sim.run();
+
+  for (int i = 0; i < 40; ++i) {
+    sys.publish(pick_host(), scheme, gen.make_event());
+  }
+  sim.run();
+  sys.finalize_events();
+
+  JoinLeaveOutput out;
+  out.run.metrics_json = metrics::snapshot(sys).to_json();
+  std::ostringstream jsonl;
+  trace::write_jsonl(tracer, jsonl);
+  out.run.span_jsonl = jsonl.str();
+  out.run.deliveries = sys.deliveries().size();
+  out.zone_digest = sys.zone_content_digest();
+  common::ByteWriter w;
+  sys.save_state(w);
+  out.image = w.take();
+  out.stats = sys.join_stats();
+  out.invariants = sys.check_zone_invariants();
+  return out;
+}
+
 void expect_identical(const RunOutput& a, const RunOutput& b) {
   // Byte-identical metrics JSON: every counter, mean, and histogram the
   // snapshot carries.
@@ -203,6 +313,28 @@ TEST(Determinism, CoverAggregationRunIsReproducible) {
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
   expect_pinned(a, 0x08365c52d08da10aull, 0x0d2a88987718e45cull);
+}
+
+TEST(Determinism, ProtocolJoinLeaveUnderWritesIsReproducible) {
+  const auto a = run_join_leave();
+  const auto b = run_join_leave();
+  EXPECT_EQ(a.run.metrics_json, b.run.metrics_json);
+  EXPECT_EQ(a.run.span_jsonl, b.run.span_jsonl);
+  EXPECT_EQ(a.zone_digest, b.zone_digest);
+  EXPECT_EQ(a.image, b.image);
+  // The scenario must actually drive the paths it pins.
+  EXPECT_EQ(a.stats.joins_committed, 1u);
+  EXPECT_EQ(a.stats.leaves_completed, 1u);
+  EXPECT_GT(a.stats.queued_ops_replayed, 0u);
+  EXPECT_GT(a.stats.warm_ops_replayed, 0u);
+  EXPECT_TRUE(a.invariants);
+  expect_pinned(a.run, 0xc72de70dc618c164ull, 0x349a23c61cd4e298ull);
+  EXPECT_EQ(a.zone_digest, 0x7b0795e76f277cc8ull)
+      << std::hex << "zone digest 0x" << a.zone_digest;
+  const std::string_view image(reinterpret_cast<const char*>(a.image.data()),
+                               a.image.size());
+  EXPECT_EQ(fnv1a(image), 0x19fcd57e74ab3cafull)
+      << std::hex << "save_state image hash 0x" << fnv1a(image);
 }
 
 TEST(Determinism, SampledTracingIsReproducibleAndStableAcrossRates) {
