@@ -83,18 +83,20 @@ Zone ZoneSystem::locate(const HyperRect& range) const {
   for (int i = 1; i <= max_level_; ++i) {
     const std::size_t j = split_dimension(i - 1);
     Interval& iv = t.dim(j);
-    const double w = iv.length() / double(base());
-    // Find the child range that fully covers range.dim(j), if any.
+    // Find the child range that fully covers range.dim(j), if any. Child
+    // bounds come from narrow(), as in extent(), so a located range always
+    // lies inside its zone's extent.
     int p = -1;
+    Interval cand;
     for (int c = 0; c < base(); ++c) {
-      const Interval cand{iv.lo + w * double(c), iv.lo + w * double(c + 1)};
+      cand = narrow(iv, c);
       if (cand.covers(range.dim(j))) {
         p = c;
         break;
       }
     }
     if (p < 0) break;
-    iv = Interval{iv.lo + w * double(p), iv.lo + w * double(p + 1)};
+    iv = cand;
     z = child(z, p);
   }
   return z;
@@ -113,7 +115,7 @@ Zone ZoneSystem::locate(const Point& p) const {
     int c = int((p[j] - iv.lo) / w);
     if (c >= base()) c = base() - 1;
     if (c < 0) c = 0;
-    iv = Interval{iv.lo + w * double(c), iv.lo + w * double(c + 1)};
+    iv = narrow(iv, c);
     z = child(z, c);
   }
   return z;

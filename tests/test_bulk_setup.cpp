@@ -321,10 +321,10 @@ TEST(BulkSetup, NonDyadicBoundsTakeTheClipPath) {
   EXPECT_EQ(routed.sys.node_stored_entries(), bulk.sys.node_stored_entries());
   EXPECT_EQ(zone_fingerprint(routed.sys), zone_fingerprint(bulk.sys));
   EXPECT_EQ(routed.sys.zone_content_digest(), bulk.sys.zone_content_digest());
-  // check_zone_invariants() is left out: on these bounds locate() puts a
-  // subscription by a child's upper bound lo + 2w, while extent() computes
-  // (lo + w) + w, so a stored rect can overhang its zone's extent by an
-  // ulp. That is placement, shared by both install paths, not the cascade.
+  // locate() narrows as extent() does, so on these rounding bounds too a
+  // stored rect lies inside its zone's extent.
+  EXPECT_TRUE(routed.sys.check_zone_invariants());
+  EXPECT_TRUE(bulk.sys.check_zone_invariants());
 
   Stack four({}, non_dyadic_scheme(), zones);
   four.sys.bulk_subscribe(four.scheme, non_dyadic_batch(), 4);
