@@ -70,6 +70,7 @@ Subcommands:
       compress the subid transport riding on those frames.
 
   join FRESH.json [--mtbf N] [--replicas R] [--min-delivery F]
+       [--committed BENCH_join.json]
       Validate a fresh `ablation_churn --protocol-join` run
       (self-relative): at the gated churn point (default MTBF=4
       stabilization periods, 2 replicas) the delivery ratio must stay at
@@ -78,6 +79,9 @@ Subcommands:
       least one join must have committed and moved a nonzero number of
       zones/bytes, and no handshake may have aborted at any churn rate —
       nothing crashes in this bench, so a timeout abort is a protocol bug.
+      With --committed BENCH_join.json, every row's deterministic counters
+      (deliveries, joins, leaves, zones and bytes moved, replayed and
+      buffered ops, handoff times) must also equal the committed row's.
 """
 
 import argparse
@@ -432,6 +436,37 @@ def cmd_cover(args):
 # join: lifecycle churn must keep delivering while state moves between nodes
 # ---------------------------------------------------------------------------
 
+# Simulated-time results of a join row: identical on every host and build.
+JOIN_COUNTERS = ("expected", "delivered", "joins_started", "joins_committed",
+                 "joins_aborted", "leaves_completed", "zones_transferred",
+                 "transfer_bytes", "queued_ops_replayed", "warm_ops_replayed",
+                 "events_buffered", "avg_handoff_ms", "max_handoff_ms")
+
+
+def join_golden_failures(committed, fresh):
+    failures = []
+    for key in ("nodes", "events"):
+        if committed.get(key) != fresh.get(key):
+            failures.append(f"config {key}: committed {committed.get(key)} "
+                            f"-> fresh {fresh.get(key)}")
+    def by_point(doc):
+        return {(r["mtbf_periods"], r["replicas"]): r for r in doc["rows"]}
+    want = by_point(committed)
+    got = by_point(fresh)
+    if want.keys() != got.keys():
+        failures.append(f"row points differ: committed {sorted(want)} -> "
+                        f"fresh {sorted(got)}")
+    for point in sorted(want.keys() & got.keys()):
+        for key in JOIN_COUNTERS:
+            if got[point][key] != want[point][key]:
+                failures.append(f"mtbf={point[0]:.0f} replicas={point[1]} "
+                                f"{key}: committed {want[point][key]} -> "
+                                f"fresh {got[point][key]}")
+    print(f"  committed rows: {len(want)} compared on {len(JOIN_COUNTERS)} "
+          f"counters")
+    return failures
+
+
 def cmd_join(args):
     doc = load_json(args.fresh)
     rows = doc.get("rows")
@@ -479,6 +514,8 @@ def cmd_join(args):
             failures.append(f"{r['joins_aborted']} aborted joins at "
                             f"mtbf={r['mtbf_periods']:.0f} "
                             f"replicas={r['replicas']}")
+    if args.committed:
+        failures += join_golden_failures(load_json(args.committed), doc)
 
     for msg in failures:
         print(f"FAIL: {msg}")
@@ -568,6 +605,9 @@ def main():
     j.add_argument("--min-delivery", type=float, default=0.99,
                    help="required delivery ratio at the gated point "
                         "(default 0.99)")
+    j.add_argument("--committed", default=None,
+                   help="committed BENCH_join.json; every fresh row's "
+                        "deterministic counters must equal its own")
     j.set_defaults(fn=cmd_join)
 
     args = ap.parse_args()
