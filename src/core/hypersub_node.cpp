@@ -120,10 +120,6 @@ void HyperSubNode::erase_replica_zone(const ZoneAddr& addr, Id rotated_key) {
   erase_keyed_zone(replica_zones_, replicas_by_key_, addr, rotated_key);
 }
 
-std::vector<ZoneState*> HyperSubNode::find_zones_by_key(Id rotated_key) {
-  return zones_for_key(zones_, zones_by_key_, rotated_key);
-}
-
 void HyperSubNode::append_zones_by_key(Id rotated_key,
                                        std::vector<ZoneState*>& out) {
   append_zones_for_key(zones_, zones_by_key_, rotated_key, out);
@@ -140,11 +136,6 @@ ZoneState& HyperSubNode::replica_zone_state(const ZoneAddr& addr,
       replica_zones_.try_emplace(addr, addr, index_threshold_, cover_);
   if (inserted) replicas_by_key_[rotated_key].push_back(addr);
   return it->second;
-}
-
-std::vector<ZoneState*> HyperSubNode::find_replica_zones_by_key(
-    Id rotated_key) {
-  return zones_for_key(replica_zones_, replicas_by_key_, rotated_key);
 }
 
 void HyperSubNode::append_replica_zones_by_key(Id rotated_key,

@@ -72,15 +72,12 @@ class HyperSubNode {
   /// kRendezvous/kZone dispatch.
   ZoneState& zone_state(const ZoneAddr& addr, Id rotated_key);
 
-  /// Zone dispatch by rotated key. NOTE: a zone key aliases the keys of its
-  /// rightmost descendants (right-padding with β-1 digits), so one key can
+  /// Zone dispatch by rotated key, allocation-free for the delivery hot
+  /// path: appends every zone indexed under the key to a caller-held
+  /// scratch vector. NOTE: a zone key aliases the keys of its rightmost
+  /// descendants (right-padding with β-1 digits), so one key can
   /// legitimately address a whole leaf-to-ancestor chain of zones — all
-  /// hosted by the same surrogate node. Returns every zone indexed under
-  /// the key (empty if none).
-  std::vector<ZoneState*> find_zones_by_key(Id rotated_key);
-
-  /// Allocation-free variant for the delivery hot path: appends the zones
-  /// under the key to a caller-held scratch vector.
+  /// hosted by the same surrogate node.
   void append_zones_by_key(Id rotated_key, std::vector<ZoneState*>& out);
 
   /// First zone under the key, if any (test convenience).
@@ -188,7 +185,6 @@ class HyperSubNode {
   /// Replicas are matched only after the primary's failure promotes this
   /// node to owner of the key.
   ZoneState& replica_zone_state(const ZoneAddr& addr, Id rotated_key);
-  std::vector<ZoneState*> find_replica_zones_by_key(Id rotated_key);
   void append_replica_zones_by_key(Id rotated_key,
                                    std::vector<ZoneState*>& out);
   std::size_t replica_zone_count() const noexcept {
