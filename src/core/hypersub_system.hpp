@@ -17,10 +17,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "overlay/overlay.hpp"
@@ -539,13 +541,37 @@ class HyperSubSystem {
   using FrameDeliveryAction = net::Network::Delivery<FrameDelivery>;
 
  private:
+  /// One zone write of Alg. 3: a subscription install (kAdd), a removal
+  /// (kRemove) or a parent piece (kPiece) at the zone `addr` with rotated
+  /// key `key`. Only the payload of its kind is set. Routed writes, the
+  /// write-behind queue, the leave bridge, a warming joiner's deferred
+  /// writes and replica copies all carry this one value.
+  struct ZoneOp {
+    enum class Kind : std::uint8_t { kAdd, kRemove, kPiece };
+    Kind kind = Kind::kAdd;
+    ZoneAddr addr;
+    Id key = 0;
+    StoredSub stored{};  ///< kAdd: the subscription to store
+    SubId sub{};         ///< kRemove: the subscription to remove
+    HyperRect piece{};   ///< kPiece: the parent's summary ∩ this extent
+    Id parent_key = 0;   ///< kPiece: the registering parent's key
+  };
+
+  /// An owned event message parked at a warming joiner.
+  struct ParkedEvent {
+    EventCtxPtr ctx;
+    std::vector<SubId> subids;
+    int hops = 0;
+    trace::SpanId via = trace::kNoSpan;
+  };
+
   // -- live state transfer (join/leave tentpole) ------------------------------
   // One outbound session per old owner and one warm buffer per joiner;
   // handlers run where the transfer messages land.
 
   /// Outbound handover at the old owner: snapshot already shipped; every
-  /// in-range mutation is applied locally AND queued as a zone-local replay
-  /// closure (write-behind) until the commit condition holds.
+  /// in-range write is applied locally AND queued for a zone-local replay
+  /// at the target (write-behind) until the commit condition holds.
   struct TransferOut {
     bool active = false;
     bool leaving = false;    ///< leave push: no ownership watch, bridge after
@@ -556,20 +582,20 @@ class HyperSubSystem {
     std::uint64_t epoch = 0;  ///< guards stale tick timers
     double started_ms = 0.0;
     double deadline_ms = 0.0;
-    std::vector<std::function<void()>> queue;  ///< zone-local ops at target
-    std::uint64_t queue_bytes = 0;             ///< wire size of queued ops
+    std::vector<ZoneOp> queue;  ///< write-behind, replayed at the target
   };
 
   /// Warm buffer at a joiner: zone snapshots and write-behind batches stage
-  /// here; full-path work (installs, removals, owned events) defers here.
+  /// here; full-path work (zone writes and owned events) defers here, in
+  /// one queue so that it replays in arrival order.
   struct WarmState {
     bool warming = false;
     std::uint64_t epoch = 0;  ///< guards stale timeout timers
     double started_ms = 0.0;
     net::HostIndex source = overlay::Peer::kInvalidHost;
-    std::vector<std::vector<std::uint8_t>> staged;       ///< snapshot frames
-    std::vector<std::function<void()>> transfer_ops;     ///< write-behind replays
-    std::vector<std::function<void()>> ops;              ///< deferred full-path work
+    std::vector<std::vector<std::uint8_t>> staged;  ///< snapshot frames
+    std::vector<ZoneOp> transfer_ops;               ///< write-behind replays
+    std::vector<std::variant<ZoneOp, ParkedEvent>> ops;  ///< deferred work
   };
 
   void begin_state_transfer(net::HostIndex joiner);
@@ -605,10 +631,6 @@ class HyperSubSystem {
   /// Push a full replica image of (addr, key) to the owner's current heirs
   /// (replaces their replica copy — the post-handover replica chain).
   void reseed_replicas(net::HostIndex owner, const ZoneAddr& addr, Id key);
-  /// Queue a zone-local replay op (plus its wire size) on an active
-  /// outbound session.
-  void queue_transfer_op(TransferOut& t, std::uint64_t bytes,
-                         std::function<void()> op);
 
   void unsubscribe_impl(net::HostIndex subscriber, std::uint32_t scheme,
                         std::uint32_t iid, const pubsub::Subscription& sub);
@@ -644,15 +666,27 @@ class HyperSubSystem {
   void adopt_legacy_image(net::HostIndex host,
                           const std::vector<V2Chain>& chains);
 
-  // Alg. 3: registration at the surrogate node + piece propagation.
-  void register_subscription_at(net::HostIndex owner, const ZoneAddr& addr,
-                                Id rotated_key, StoredSub stored);
-  /// Removal at the surrogate (the inverse of register_subscription_at):
-  /// mirrors to replicas and propagates the summary shrink.
-  void remove_subscription_at(net::HostIndex owner, const ZoneAddr& addr,
-                              Id rotated_key, const SubId& sub);
-  void register_piece_at(net::HostIndex owner, const ZoneAddr& addr,
-                         Id rotated_key, HyperRect piece, Id parent_key);
+  // Alg. 3: zone writes at the surrogate node + piece propagation.
+
+  /// The full path of a write arriving at `owner`: defer it while `owner`
+  /// warms, forward it over the leave bridge once `owner` has shipped the
+  /// zone's range, queue it for write-behind while a transfer of that range
+  /// is open, and apply it.
+  void write_zone(net::HostIndex owner, ZoneOp op);
+  /// Apply `op` at `host`: materialize a saturated zone for an install,
+  /// skip a removal from a zone that stores nothing, take a piece, then
+  /// mutate the zone. With `cascade` (the owner's own write) the write is
+  /// also copied to the replicas and a summary change propagates as child
+  /// pieces; replays at a transfer target leave both out. Last, a zone left
+  /// holding only its extent folds.
+  void apply_zone_op(net::HostIndex host, ZoneOp op, bool cascade);
+  /// The mutation of `op` on `zs`, shared by owners and replicas; moves
+  /// the payload out of `op`. Returns whether the summary changed, or
+  /// nullopt for a removal of a subscription `zs` does not hold.
+  static std::optional<bool> mutate_zone(ZoneState& zs, ZoneOp& op);
+  /// Wire size of one zone write as a replica copy, a bridged write or a
+  /// shipped write-behind op.
+  std::uint64_t op_bytes(const ZoneOp& op) const;
   void propagate_pieces(net::HostIndex host, const ZoneAddr& addr);
 
   // Alg. 5: one event message arriving at `host`. `subids` is copied into
