@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -175,6 +176,50 @@ TEST(JoinTransfer, ProtocolJoinMatchesOracleBuild) {
   a.sys->finalize_events();
   b.sys->finalize_events();
   EXPECT_EQ(delivery_set(a), delivery_set(b));
+}
+
+// After the commit the joiner's heirs must replicate everything it took
+// over, piece-only zones included: they relay events up the zone tree.
+// Crashing the joiner right after its commit then loses no delivery.
+TEST(JoinTransfer, JoinerCrashAfterCommitLosesNoDelivery) {
+  constexpr net::HostIndex kJoiner = 9;
+  Stack s = make_stack({.replicas = 2, .pre_kill = kJoiner});
+  Rng rng(31);
+  std::vector<std::pair<net::HostIndex, pubsub::Subscription>> subs;
+  for (int i = 0; i < 120; ++i) {
+    net::HostIndex h = net::HostIndex(rng.index(32));
+    if (h == kJoiner) h = (h + 1) % 32;
+    subs.emplace_back(h, s.gen->make_subscription());
+    s.sys->subscribe(h, s.scheme, subs.back().second);
+  }
+  s.sim->run();
+
+  s.net->revive(kJoiner);
+  s.chord->start_maintenance();
+  s.sys->join_node(kJoiner, 0);
+  settle_join(s);
+  ASSERT_EQ(s.sys->join_stats().joins_committed, 1u);
+  ASSERT_GT(s.sys->join_stats().zones_transferred, 0u);
+
+  s.sys->crash_node(kJoiner);
+  s.chord->oracle_build();
+
+  for (int i = 0; i < 30; ++i) {
+    net::HostIndex pub = net::HostIndex(rng.index(32));
+    if (pub == kJoiner) pub = (pub + 1) % 32;
+    const auto e = s.gen->make_event();
+    const std::size_t before = s.sys->deliveries().size();
+    s.sys->publish(pub, s.scheme, e);
+    s.sim->run();
+    std::multiset<std::size_t> got, expect;
+    for (std::size_t d = before; d < s.sys->deliveries().size(); ++d) {
+      got.insert(s.sys->deliveries()[d].subscriber);
+    }
+    for (const auto& [h, sub] : subs) {
+      if (sub.matches(e.point)) expect.insert(h);
+    }
+    EXPECT_EQ(got, expect) << "event " << i;
+  }
 }
 
 TEST(JoinTransfer, UpdatesDuringTransferAreReplayed) {
