@@ -26,7 +26,9 @@ namespace hypersub::common {
 /// v1 images (no chain section) still load.
 /// v3: that section holds saturated-zone level masks instead of chains;
 /// v1 and v2 images still load.
-inline constexpr std::uint32_t kWireVersion = 3;
+/// v4: replica zones follow the same rule, so node images append the
+/// replica masks after the primary masks; v1-v3 images still load.
+inline constexpr std::uint32_t kWireVersion = 4;
 
 class ByteWriter {
  public:

@@ -1,7 +1,7 @@
 #pragma once
 // Open-addressing hash map with linear probing and backward-shift deletion.
 //
-// Replaces std::unordered_map for the per-node key indexes (zones_by_key_
+// Replaces std::unordered_map for the zone stores' key indexes (by_key_
 // and the saturated-zone masks): at saturation scale those hold millions of
 // entries, and the node-based map pays one heap allocation plus two
 // pointers of bucket/next overhead per entry on top of the payload. This

@@ -612,11 +612,12 @@ class HyperSubSystem {
   static bool transfer_moves(const TransferOut& t, Id key);
   /// The rotated key of a hosted zone (pure function of its address).
   Id zone_key_of(const ZoneAddr& addr) const;
-  /// The zones `host` hosts as (rotated key, address), sorted by key, then
-  /// address. Map iteration order depends on insertion and rehash history;
-  /// every path whose sends depend on zone order walks this instead.
+  /// The primary ZoneStates of `host`, and with `saturated` its saturated
+  /// zones too, as (rotated key, address), sorted by key, then address.
+  /// Map iteration order depends on insertion and rehash history; every
+  /// path whose sends depend on zone order walks this instead.
   std::vector<std::pair<Id, ZoneAddr>> zones_in_order(
-      net::HostIndex host) const;
+      net::HostIndex host, bool saturated = false) const;
   /// Serialize the owner's hosted zones whose key moves with the session,
   /// sorted by (key, addr) for deterministic bytes. Saturated zones ship
   /// after them as (scheme, subscheme, key, mask) rows. When
@@ -626,43 +627,42 @@ class HyperSubSystem {
       net::HostIndex owner, const TransferOut& t,
       std::uint32_t* moved_entries = nullptr) const;
   /// Install zones from a serialize_moved_zones() image as primary state at
-  /// `host`, replacing any primary/replica leftovers for the same address.
+  /// `host`, clearing the same zones from both of its stores first.
   void install_transferred_zones(net::HostIndex host, common::ByteReader& r);
-  /// Push a full replica image of (addr, key) to the owner's current heirs
-  /// (replaces their replica copy — the post-handover replica chain).
+  /// Push the owner's primary form of (addr, key) — a ZoneState image or a
+  /// saturated bit — to its current heirs, replacing their replica copy
+  /// (the post-handover replica chain). No-op if the owner stores nothing
+  /// there.
   void reseed_replicas(net::HostIndex owner, const ZoneAddr& addr, Id key);
 
   void unsubscribe_impl(net::HostIndex subscriber, std::uint32_t scheme,
                         std::uint32_t iid, const pubsub::Subscription& sub);
 
-  // -- saturated zones (HyperSubNode's level masks) ---------------------------
-  // A zone changes form through these helpers (bulk_subscribe also sets
-  // the bits of fresh zones directly). With replicas every zone stays
-  // materialized: replica images copy ZoneStates, and a failover must find
-  // the primary's zones in the same form.
+  // -- saturated zones (ZoneStore's level masks) ------------------------------
+  // A zone changes form through these helpers, in a primary and a replica
+  // store alike (bulk_subscribe also sets the bits of fresh zones
+  // directly).
 
-  /// Saturated zones are folded into level masks (no replicas).
-  bool compress_enabled() const noexcept { return cfg_.replicas == 0; }
   /// `piece` is exactly the extent of the (non-root) zone at `addr`.
   bool saturates(const ZoneAddr& addr, const HyperRect& piece) const;
-  /// If `addr` is saturated on `owner`, clear its bit and materialize the
-  /// ZoneState it stands for: its extent as the parent piece and the
-  /// derived child pieces in the cache, so the next propagate resends
-  /// nothing.
-  void materialize_saturated(net::HostIndex owner, const ZoneAddr& addr,
-                             Id rotated_key);
-  /// Ready `addr` on `owner` for `piece`: materialize it if saturated.
+  /// Find-or-create the ZoneState of `addr` in `store`. A saturated zone
+  /// loses its bit and comes back as the ZoneState it stands for: its
+  /// extent as the parent piece and the derived child pieces in the cache,
+  /// so the next propagate resends nothing.
+  ZoneState& materialize_saturated(ZoneStore& store, const ZoneAddr& addr,
+                                   Id rotated_key);
+  /// Ready `addr` in `store` for `piece`: materialize it if saturated.
   /// False when there is nothing to do — a saturated zone receiving its
   /// own extent, or an empty piece for a zone that stores nothing.
-  bool take_piece(net::HostIndex owner, const ZoneAddr& addr, Id rotated_key,
+  bool take_piece(ZoneStore& store, const ZoneAddr& addr, Id rotated_key,
                   const HyperRect& piece);
   /// Fold a ZoneState that stores only a parent piece equal to its extent
   /// into its saturated bit; erase one that stores nothing at all.
-  void fold_saturated(net::HostIndex owner, const ZoneAddr& addr,
-                      Id rotated_key);
-  /// Bring a v1 or v2 node image restored on `host` to the current form:
-  /// expand its chain records into ZoneStates, then fold every zone that
-  /// is saturated.
+  void fold_saturated(ZoneStore& store, const ZoneAddr& addr, Id rotated_key);
+  /// Bring a v1-v3 node image restored on `host` to the current form:
+  /// expand its chain records into ZoneStates, then fold every zone of
+  /// either store that is saturated (v3 writers kept replica zones, and
+  /// with replicas every zone, materialized).
   void adopt_legacy_image(net::HostIndex host,
                           const std::vector<V2Chain>& chains);
 
@@ -673,17 +673,15 @@ class HyperSubSystem {
   /// zone's range, queue it for write-behind while a transfer of that range
   /// is open, and apply it.
   void write_zone(net::HostIndex owner, ZoneOp op);
-  /// Apply `op` at `host`: materialize a saturated zone for an install,
-  /// skip a removal from a zone that stores nothing, take a piece, then
-  /// mutate the zone. With `cascade` (the owner's own write) the write is
-  /// also copied to the replicas and a summary change propagates as child
-  /// pieces; replays at a transfer target leave both out. Last, a zone left
-  /// holding only its extent folds.
-  void apply_zone_op(net::HostIndex host, ZoneOp op, bool cascade);
-  /// The mutation of `op` on `zs`, shared by owners and replicas; moves
-  /// the payload out of `op`. Returns whether the summary changed, or
-  /// nullopt for a removal of a subscription `zs` does not hold.
-  static std::optional<bool> mutate_zone(ZoneState& zs, ZoneOp& op);
+  /// Apply `op` to `store` of `host`: materialize a saturated zone for an
+  /// install, skip a removal from a zone that stores nothing, take a
+  /// piece, and mutate the zone. With `cascade` (the owner's own write)
+  /// the write is also copied to the replica stores of the owner's heirs,
+  /// which apply it here without `cascade`, and a summary change
+  /// propagates as child pieces; replays at a transfer target leave both
+  /// out. Last, a zone left holding only its extent folds.
+  void apply_zone_op(net::HostIndex host, ZoneStore& store, ZoneOp op,
+                     bool cascade);
   /// Wire size of one zone write as a replica copy, a bridged write or a
   /// shipped write-behind op.
   std::uint64_t op_bytes(const ZoneOp& op) const;

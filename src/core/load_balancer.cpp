@@ -273,12 +273,11 @@ void LoadBalancer::migrate(net::HostIndex h,
                   if (auto* tr = sys_.tracer()) {
                     tr->end(mspan, sys_.simulator().now());
                   }
-                  HyperSubNode& origin = sys_.node(h);
                   // The zone may have folded into its saturated bit while
                   // the handoff was in flight (all subs unsubscribed):
                   // materialize it before touching its state.
-                  sys_.materialize_saturated(h, origin_addr, zone_key);
-                  ZoneState& zs = origin.zone_state(origin_addr, zone_key);
+                  ZoneState& zs = sys_.materialize_saturated(
+                      sys_.node(h).primary(), origin_addr, zone_key);
                   const HyperRect before = zs.summary();
                   zs.add_migrated_bucket(MigratedBucket{
                       summary, std::move(*rects),
@@ -308,9 +307,8 @@ void LoadBalancer::migrate(net::HostIndex h,
                         sys_.simulator().now(), count);
               tr->end(mspan, sys_.simulator().now());
             }
-            HyperSubNode& origin = sys_.node(h);
-            sys_.materialize_saturated(h, origin_addr, zone_key);
-            ZoneState& zs = origin.zone_state(origin_addr, zone_key);
+            ZoneState& zs = sys_.materialize_saturated(
+                sys_.node(h).primary(), origin_addr, zone_key);
             const HyperRect before = zs.summary();
             for (auto& s : *bucket) zs.add_subscription(std::move(s));
             failed_ += count;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <map>
 #include <set>
@@ -194,6 +195,57 @@ TEST(BulkSetup, ThreadCountInvariant) {
             metrics::snapshot(four.sys).to_json());
 }
 
+/// Form-invariant digest of host `h`'s replica store: a commutative fold of
+/// one hash per zone that stores something — address, summary, parent
+/// piece and subscription set — with each saturated zone folded in as the
+/// piece-only zone it stands for. Husks are skipped, and so are cached
+/// child pieces: replicas never propagate, so their caches are not kept up.
+std::uint64_t replica_digest(const HyperSubSystem& sys, net::HostIndex h) {
+  using core::splitmix64;
+  const auto mix_rect = [](std::uint64_t x, const HyperRect& r) {
+    for (const auto& iv : r.dims()) {
+      x = splitmix64(x ^ std::bit_cast<std::uint64_t>(iv.lo));
+      x = splitmix64(x ^ std::bit_cast<std::uint64_t>(iv.hi));
+    }
+    return x;
+  };
+  const auto row = [&](const core::ZoneAddr& a, const HyperRect& summary,
+                       const HyperRect& piece, Id parent_key,
+                       std::uint64_t subs) {
+    std::uint64_t x = splitmix64(a.zone.code ^ (std::uint64_t(a.scheme) << 40) ^
+                                 (std::uint64_t(a.subscheme) << 8) ^
+                                 std::uint64_t(a.zone.level));
+    x = mix_rect(splitmix64(x ^ parent_key), piece);
+    return splitmix64(mix_rect(x, summary) ^ subs);
+  };
+  const core::ZoneStore& store = sys.node(h).replicas();
+  std::uint64_t acc = 0;
+  for (const auto& [addr, z] : store.zones()) {
+    const bool has_piece =
+        z.has_parent_piece() && !z.parent_piece()->first.empty();
+    if (z.subscription_count() == 0 && !has_piece) continue;  // husk
+    std::uint64_t subs = 0;  // order-insensitive
+    for (const auto& s : z.subscriptions()) {
+      subs += splitmix64(s.owner.target ^ (std::uint64_t(s.owner.iid) << 32));
+    }
+    acc += has_piece ? row(addr, z.summary(), z.parent_piece()->first,
+                           z.parent_piece()->second, subs)
+                     : row(addr, z.summary(), HyperRect{}, 0, subs);
+  }
+  store.for_each_saturated([&](std::uint32_t scheme, std::uint32_t ssi, Id key,
+                               std::uint64_t mask) {
+    const core::Subscheme& ss = sys.scheme_runtime(scheme).subscheme(ssi);
+    const lph::ZoneSystem& zsys = ss.zones();
+    for (; mask != 0; mask &= mask - 1) {
+      const lph::Zone z = ss.zone_at(key, std::countr_zero(mask));
+      const HyperRect ext = zsys.extent(z);
+      acc += row({scheme, ssi, z}, ext, ext,
+                 lph::zone_key(zsys, zsys.parent(z), ss.rotation()), 0);
+    }
+  });
+  return acc;
+}
+
 TEST(BulkSetup, ReplicasMirrored) {
   HyperSubSystem::Config cfg;
   cfg.replicas = 2;
@@ -204,11 +256,11 @@ TEST(BulkSetup, ReplicasMirrored) {
   bulk.sys.bulk_subscribe(bulk.scheme, make_batch(), 3);
 
   for (net::HostIndex h = 0; h < kHosts; ++h) {
-    EXPECT_EQ(simulated.sys.node(h).replica_zone_count(),
-              bulk.sys.node(h).replica_zone_count())
+    EXPECT_EQ(replica_digest(simulated.sys, h), replica_digest(bulk.sys, h))
         << "host " << h;
   }
   EXPECT_EQ(simulated.sys.node_loads(), bulk.sys.node_loads());
+  EXPECT_TRUE(bulk.sys.check_zone_invariants());
 }
 
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
@@ -224,10 +276,12 @@ std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
 // index builds and the all-geometry cascade left: building each zone's
 // index once and saturating children without rectangles must not move a
 // byte, the per-zone index flags included (threshold 4 indexes many zones).
+// Wire v4 moved the pins: the images differ from the v3 ones only in the
+// version word and each node's empty replica-mask row count.
 TEST(BulkSetup, CheckpointImagePinned) {
   const std::pair<std::size_t, std::uint64_t> cases[] = {
-      {core::ZoneState::kDefaultIndexThreshold, 0xbb9dd2e55d4d7a59ull},
-      {4, 0xe0a43cbdbf062023ull},
+      {core::ZoneState::kDefaultIndexThreshold, 0x47e14cf19d1c7386ull},
+      {4, 0xdb87a666249a9c9cull},
   };
   for (const auto& [threshold, pinned] : cases) {
     HyperSubSystem::Config cfg;

@@ -137,10 +137,11 @@ TEST(Integration, ZoneChainsReachCoveringSubscriptions) {
   const auto le = lph::hash_event(ss.zones(), e.point, 0);
   const auto owner = s.chord->oracle_successor(le.key);
   const auto& nd = s.sys->node(owner.host);
-  const auto* zs = nd.find_zone_by_key(le.key);
+  const core::ZoneAddr leaf{scheme, 0, le.zone};
+  const auto it = nd.zones().find(leaf);
   const bool has_piece =
-      (zs != nullptr && zs->has_parent_piece()) ||
-      nd.saturated(core::ZoneAddr{scheme, 0, le.zone}, le.key);
+      (it != nd.zones().end() && it->second.has_parent_piece()) ||
+      nd.primary().saturated(leaf, le.key);
   EXPECT_TRUE(has_piece) << "leaf zone has no state: chain is broken";
 
   // And the delivery actually happens.

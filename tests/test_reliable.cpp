@@ -275,7 +275,7 @@ void inject_load(Stack& s, std::uint32_t scheme, net::HostIndex host,
   const auto& ss = rt.subscheme(0);
   const lph::Zone root = ss.zones().root();
   const core::ZoneAddr addr{scheme, 0, root};
-  auto& zs = s.sys->node(host).zone_state(addr, ss.zone_key(root));
+  auto& zs = s.sys->node(host).primary().zone_state(addr, ss.zone_key(root));
   const HyperRect range = rt.scheme().domain();
   for (std::size_t i = 0; i < count; ++i) {
     zs.add_subscription(core::StoredSub{
