@@ -9,6 +9,7 @@
 // rendezvous zone per subscheme.
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,5 +93,8 @@ class SchemeRuntime {
   pubsub::Scheme scheme_;
   std::vector<Subscheme> subs_;
 };
+
+/// The scheme runtimes of one system, indexed by scheme id.
+using SchemeTable = std::vector<std::unique_ptr<SchemeRuntime>>;
 
 }  // namespace hypersub::core

@@ -520,18 +520,42 @@ void ZoneState::restore(common::ByteReader& r) {
   summary_ = std::move(summary);
 }
 
+namespace {
+
+std::uint64_t mix_rect(std::uint64_t h, const HyperRect& r) {
+  h = splitmix64(h ^ r.dimensions());
+  for (const Interval& d : r.dims()) {
+    std::uint64_t lo, hi;
+    std::memcpy(&lo, &d.lo, sizeof lo);
+    std::memcpy(&hi, &d.hi, sizeof hi);
+    h = splitmix64(h ^ lo);
+    h = splitmix64(h ^ hi);
+  }
+  return h;
+}
+
+/// fingerprint()'s fold of the zone structure onto the digest `h` of the
+/// stored entries: parent piece, cached child pieces, summary.
+std::uint64_t fold_structure(std::uint64_t h, const HyperRect* piece,
+                             Id parent_key,
+                             std::span<const HyperRect> child_pieces,
+                             const HyperRect& summary) {
+  if (piece != nullptr) h = mix_rect(splitmix64(h ^ parent_key), *piece);
+  // Child pieces compare as a sparse map digit -> piece: trailing empties
+  // (a lazily-sized cache) must not distinguish two equivalent zones.
+  for (std::size_t d = 0; d < child_pieces.size(); ++d) {
+    if (child_pieces[d].empty()) continue;
+    h = mix_rect(splitmix64(h ^ d), child_pieces[d]);
+  }
+  return mix_rect(h, summary);
+}
+
+/// The digest of no stored entries.
+constexpr std::uint64_t kNoEntries = 0x9e3779b9ull;
+
+}  // namespace
+
 std::uint64_t ZoneState::fingerprint() const {
-  const auto mix_rect = [](std::uint64_t h, const HyperRect& r) {
-    h = splitmix64(h ^ r.dimensions());
-    for (const Interval& d : r.dims()) {
-      std::uint64_t lo, hi;
-      std::memcpy(&lo, &d.lo, sizeof lo);
-      std::memcpy(&hi, &d.hi, sizeof hi);
-      h = splitmix64(h ^ lo);
-      h = splitmix64(h ^ hi);
-    }
-    return h;
-  };
   const auto mix_subid = [](std::uint64_t h, const SubId& s) {
     h = splitmix64(h ^ s.target);
     h = splitmix64(h ^ ((std::uint64_t(s.iid) << 8) | std::uint64_t(s.kind)));
@@ -563,18 +587,18 @@ std::uint64_t ZoneState::fingerprint() const {
     }
   }
   std::sort(parts.begin(), parts.end());
-  std::uint64_t h = 0x9e3779b9ull;
+  std::uint64_t h = kNoEntries;
   for (const std::uint64_t p : parts) h = splitmix64(h ^ p);
-  if (parent_piece_) {
-    h = mix_rect(splitmix64(h ^ parent_piece_->second), parent_piece_->first);
-  }
-  // Child pieces compare as a sparse map digit -> piece: trailing empties
-  // (a lazily-sized cache) must not distinguish two equivalent zones.
-  for (std::size_t d = 0; d < child_pieces_.size(); ++d) {
-    if (child_pieces_[d].empty()) continue;
-    h = mix_rect(splitmix64(h ^ d), child_pieces_[d]);
-  }
-  return mix_rect(h, summary_);
+  return fold_structure(h, parent_piece_ ? &parent_piece_->first : nullptr,
+                        parent_piece_ ? parent_piece_->second : 0,
+                        child_pieces_, summary_);
+}
+
+std::uint64_t ZoneState::piece_only_fingerprint(
+    const HyperRect& piece, Id parent_key,
+    std::span<const HyperRect> child_pieces) {
+  // Nothing stored but the piece, so the summary is the piece.
+  return fold_structure(kNoEntries, &piece, parent_key, child_pieces, piece);
 }
 
 namespace {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/hyperrect.hpp"
@@ -234,6 +235,12 @@ class ZoneState {
   /// quench assignment, and index state are deliberately excluded (a
   /// protocol-built zone permutes them relative to an oracle-built one).
   std::uint64_t fingerprint() const;
+  /// fingerprint() of a zone that stores nothing but `piece` from
+  /// `parent_key`, with child_pieces[d] cached for each digit d (empty
+  /// ones uncached), computed without building the zone.
+  static std::uint64_t piece_only_fingerprint(
+      const HyperRect& piece, Id parent_key,
+      std::span<const HyperRect> child_pieces);
 
   /// Estimated heap bytes of the structural (zone-tree) part: summary,
   /// parent piece, and the child-piece cache. Excludes the SubStore and

@@ -141,7 +141,7 @@ TEST(Integration, ZoneChainsReachCoveringSubscriptions) {
   const auto it = nd.zones().find(leaf);
   const bool has_piece =
       (it != nd.zones().end() && it->second.has_parent_piece()) ||
-      nd.primary().saturated(leaf, le.key);
+      nd.primary().saturated(leaf);
   EXPECT_TRUE(has_piece) << "leaf zone has no state: chain is broken";
 
   // And the delivery actually happens.
