@@ -23,10 +23,10 @@
 // exactly one point for this reason.
 //
 // Each point also records the zone-tree memory breakdown (materialized
-// zones, saturated-zone masks, key indexes) separately from subscription
+// zones, saturated-zone runs, key indexes) separately from subscription
 // storage; --mem-breakdown prints it. The json keeps the chain_records /
 // implicit_zones keys of earlier files (the sanity gate reads them): both
-// now count saturated zones, and saturated_bytes is their masks. Each
+// now count saturated zones, and saturated_bytes is their runs. Each
 // point's "bulk" object is HyperSubSystem::bulk_stats(): the set-up
 // counters, which depend only on the workload (the sanity gate compares
 // them with the committed file), and the per-phase wall seconds.
@@ -216,8 +216,8 @@ void print_mem_breakdown(const PointResult& r) {
   const auto& b = r.bulk;
   std::printf(
       "[micro_scale]   bulk setup: plan %.3f s, installs %.3f s "
-      "(%llu indexes built), cascade %.3f s (%llu zones, %llu children "
-      "saturated by the fast path, %llu through clip)\n",
+      "(%llu indexes built), cascade %.3f s (%llu zones one by one, %llu "
+      "saturated runs, %llu children through clip)\n",
       b.plan_s, b.install_s, (unsigned long long)b.indexes_built,
       b.cascade_s, (unsigned long long)b.zones_cascaded,
       (unsigned long long)b.children_fast,

@@ -27,7 +27,8 @@ namespace hypersub::common {
 /// v3: that section holds saturated-zone level masks instead of chains;
 /// v1 and v2 images still load.
 /// v4: replica zones follow the same rule, so node images append the
-/// replica masks after the primary masks; v1-v3 images still load.
+/// replica masks after the primary masks; v1-v3 images still load. (The
+/// stores keep saturated zones as code runs and write the same rows.)
 inline constexpr std::uint32_t kWireVersion = 4;
 
 class ByteWriter {

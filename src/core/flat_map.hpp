@@ -1,10 +1,10 @@
 #pragma once
 // Open-addressing hash map with linear probing and backward-shift deletion.
 //
-// Replaces std::unordered_map for the zone stores' key indexes (by_key_
-// and the saturated-zone masks): at saturation scale those hold millions of
-// entries, and the node-based map pays one heap allocation plus two
-// pointers of bucket/next overhead per entry on top of the payload. This
+// Replaces std::unordered_map for the zone stores' key indexes (by_key_):
+// at saturation scale such maps hold millions of entries, and the
+// node-based map pays one heap allocation plus two pointers of
+// bucket/next overhead per entry on top of the payload. This
 // map stores keys, values and a one-byte occupancy flag in three flat
 // arrays — no per-entry allocation, cache-friendly probes, and a
 // deterministic layout given the insertion/erase sequence.

@@ -273,7 +273,7 @@ void LoadBalancer::migrate(net::HostIndex h,
                   if (auto* tr = sys_.tracer()) {
                     tr->end(mspan, sys_.simulator().now());
                   }
-                  // The zone may have folded into its saturated bit while
+                  // The zone may have folded into the saturated runs while
                   // the handoff was in flight (all subs unsubscribed):
                   // materialize it before touching its state.
                   ZoneState& zs = sys_.materialize_saturated(

@@ -36,11 +36,12 @@ Subcommands:
       and hash parity against that baseline is enforced (saturated zones
       are a representation change, not a behavior change). With
       --counters (the committed bench/BENCH_scale.json), the fresh point's
-      bulk set-up counters — zones cascaded, children saturated without
-      geometry, children that went through clip, indexes built — must
-      equal the committed ones exactly: they depend only on the workload
-      (set-up runs before the event feed, so --quick and --full agree), and
-      a change that sends the cascade back through clip moves them.
+      bulk set-up counters — zones the cascade visited one by one,
+      saturated runs it wrote, children that went through clip, indexes
+      built — must equal the committed ones exactly: they depend only on
+      the workload (set-up runs before the event feed, so --quick and
+      --full agree), and a change that sends the cascade back through clip
+      or zone by zone moves them.
 
   golden COMMITTED.json FRESH.json
       Re-derive a committed BENCH_sim.json's golden hash: FRESH.json must
