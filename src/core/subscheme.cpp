@@ -38,16 +38,6 @@ HyperRect Subscheme::project(const HyperRect& full) const {
   return HyperRect(std::move(dims));
 }
 
-Id Subscheme::zone_key(const lph::Zone& z) const {
-  // Injective packing of the variable-length code: a sentinel bit above
-  // the level's digits (codes use at most 60 bits, so the sentinel fits).
-  const std::uint64_t packed =
-      z.code | (std::uint64_t{1} << (z.level * zones_.base_bits()));
-  const auto [it, inserted] = key_cache_.try_emplace(packed);
-  if (inserted) it->second = lph::zone_key(zones_, z, rotation_);
-  return it->second;
-}
-
 lph::Zone Subscheme::zone_at(Id key, int level) const {
   const int used = level * zones_.base_bits();
   return lph::Zone{used == 0 ? 0 : (key - rotation_) >> (kIdBits - used),

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lph/lph.hpp"
@@ -34,12 +33,10 @@ class Subscheme {
   const lph::ZoneSystem& zones() const noexcept { return zones_; }
   Id rotation() const noexcept { return rotation_; }
 
-  /// Rotated Chord key of one of this subscheme's zones, memoized per
-  /// (zone, rotation). Piece propagation fans out over children every
-  /// time a summary moves, so the same few thousand zone keys are
-  /// requested over and over; the cache makes the repeats a hash-map hit
-  /// instead of a fresh LPH computation.
-  Id zone_key(const lph::Zone& z) const;
+  /// Rotated Chord key of one of this subscheme's zones.
+  Id zone_key(const lph::Zone& z) const {
+    return lph::zone_key(zones_, z, rotation_);
+  }
 
   /// The zone at `level` whose rotated key is `key`: the inverse of
   /// zone_key over the zones a key aliases (a key is the zone code
@@ -64,8 +61,6 @@ class Subscheme {
   std::vector<std::size_t> attrs_;
   lph::ZoneSystem zones_;
   Id rotation_;
-  /// Memo of packed zone code -> rotated key (a pure function of the zone).
-  mutable std::unordered_map<std::uint64_t, Id> key_cache_;
 };
 
 /// Options controlling how a scheme is laid out on the overlay.
