@@ -1,8 +1,8 @@
 // Allocation regression for the event hop path (paper Alg. 5). Every event
 // message is one heap block — its chunk header plus its subids — so
 // steady-state delivery may allocate at most once per network event
-// message, plus a fixed per-publish constant (the event context, its
-// projections, the tracker). Counting needs a replacement global operator
+// message, plus a fixed per-publish constant (the event context with its
+// tracker, its projections, its live-event entry). Counting needs a replacement global operator
 // new, which is why this file is an executable of its own.
 
 #include <gtest/gtest.h>
@@ -129,8 +129,8 @@ TEST(Alloc, SteadyStateDeliveryIsOneAllocationPerMessage) {
     }
   };
 
-  // Warm-up: grows the reusable scratch buffers, the scheduler's slot
-  // table, and the tracker table to their working sizes.
+  // Warm-up: grows the reusable scratch buffers and the scheduler's slot
+  // table to their working sizes.
   auto warm = make_rounds(10);
   run_rounds(warm);
 
@@ -146,9 +146,9 @@ TEST(Alloc, SteadyStateDeliveryIsOneAllocationPerMessage) {
 
   ASSERT_GT(sink.count() - delivered0, kPublishes);  // real fan-out
   ASSERT_GT(msgs, 4 * kPublishes);
-  // Per publish: the shared event context, its per-subscheme projections
-  // and rendezvous probes, the publisher's local subid list, and the
-  // tracker entry.
+  // Per publish: the shared event context (which holds the tracker), its
+  // per-subscheme projections and rendezvous probes, the publisher's local
+  // subid list, and the live-event map entry.
   constexpr std::uint64_t kPerPublish = 10;
   EXPECT_LE(news, msgs + kPerPublish * kPublishes)
       << news << " allocations for " << msgs << " event messages and "

@@ -10,8 +10,10 @@
 #include <memory>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "chord/chord_net.hpp"
+#include "common/wire.hpp"
 #include "lph/lph.hpp"
 #include "core/hypersub_system.hpp"
 #include "core/load_balancer.hpp"
@@ -313,6 +315,61 @@ TEST(HyperSub, EventMetricsRecorded) {
     }
   }
   EXPECT_EQ(s.sys->total_subscriptions(), 40u);
+}
+
+TEST(HyperSub, ForceFinalizeMidFlightFlushesInSeqOrder) {
+  auto s = make_stack(40);
+  workload::WorkloadGenerator gen(workload::tiny_spec(), 5);
+  SchemeOptions opt;
+  opt.zone_cfg = lph::ZoneSystem::Config::for_dims(2);
+  const auto scheme = s.sys->add_scheme(gen.scheme(), opt);
+  // Every host subscribes to the whole domain: each event fans out to all.
+  const pubsub::Subscription all(gen.scheme().domain());
+  for (net::HostIndex h = 0; h < 40; ++h) s.sys->subscribe(h, scheme, all);
+  s.sim->run();
+
+  constexpr std::size_t kEvents = 12;
+  std::vector<std::uint64_t> seqs;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    seqs.push_back(
+        s.sys->publish(net::HostIndex(i * 3 % 40), scheme, gen.make_event()));
+  }
+  // Stop part-way: some deliveries made, no delivery tree complete.
+  s.sim->run_until(s.sim->now() + 800.0);
+  ASSERT_EQ(s.sys->event_metrics().count(), 0u);
+  const std::size_t flushed_at = s.sys->deliveries().size();
+  ASSERT_GT(flushed_at, 0u);
+  ASSERT_LT(flushed_at, kEvents * 40);
+  std::map<std::uint64_t, std::size_t> delivered_before;
+  for (const Delivery& d : s.sys->deliveries()) ++delivered_before[d.event_seq];
+
+  s.sys->finalize_events();
+  const auto& records = s.sys->event_metrics().records();
+  ASSERT_EQ(records.size(), kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    EXPECT_EQ(records[i].seq, seqs[i]) << "records not in seq order";
+    EXPECT_TRUE(records[i].truncated) << "seq " << records[i].seq;
+    EXPECT_EQ(records[i].matched, delivered_before[records[i].seq]);
+  }
+
+  // The cut trees keep delivering, without accounting: latency 0 and no
+  // change to any record.
+  s.sim->run();
+  const auto& rows = s.sys->deliveries();
+  EXPECT_EQ(rows.size(), kEvents * 40);
+  for (std::size_t i = flushed_at; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].latency_ms, 0.0);
+  }
+  ASSERT_EQ(records.size(), kEvents);
+  for (const auto& r : records) {
+    EXPECT_EQ(r.matched, delivered_before[r.seq]);
+  }
+  // Nothing is left to finalize, and the drained system checkpoints.
+  s.sys->finalize_events();
+  EXPECT_EQ(s.sys->event_metrics().count(), kEvents);
+  common::ByteWriter w;
+  s.sys->save_state(w);
+  EXPECT_GT(w.size(), 0u);
 }
 
 TEST(HyperSub, UnsubscribeStopsDelivery) {
