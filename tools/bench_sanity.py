@@ -83,10 +83,20 @@ Subcommands:
       With --committed BENCH_join.json, every row's deterministic counters
       (deliveries, joins, leaves, zones and bytes moved, replayed and
       buffered ops, handoff times) must also equal the committed row's.
+
+  perfbench OUTPUT.txt --snapshot HEX --delivery HEX --zone HEX
+      Check the standard output of one `perfbench/run.py --workload W
+      --seed S` run, saved to OUTPUT.txt: the run must report itself
+      correct with no failed publish, the untraced run's snapshot,
+      delivery and zone digests must equal the given ones, and with
+      --trace 1 the traced run must have printed the same digests. The
+      digests depend only on the workload, seed and run length, so a
+      change meant to keep behaviour must leave them where they are.
 """
 
 import argparse
 import json
+import re
 import sys
 
 
@@ -526,6 +536,48 @@ def cmd_join(args):
     return 0
 
 
+# ---------------------------------------------------------------------------
+# perfbench: a benchmark run's digests equal the expected ones
+# ---------------------------------------------------------------------------
+
+def cmd_perfbench(args):
+    with open(args.output) as f:
+        lines = f.read().splitlines()
+    digests = {}
+    for line in lines:
+        m = re.match(r"(untraced|traced) +digests (\{.*?\})", line)
+        if m:
+            digests[m.group(1)] = json.loads(m.group(2))
+    failures = []
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    if not result.get("correct") or result.get("failed") != 0:
+        failures.append("the run did not report correct with 0 failed "
+                        "publishes")
+    want = {"snapshot": args.snapshot, "delivery": args.delivery,
+            "zone": args.zone}
+    got = digests.get("untraced")
+    if got is None:
+        failures.append(f"{args.output} has no untraced digests line")
+    else:
+        for name, value in want.items():
+            ok = got.get(name) == value
+            print(f"  {name:8s} {got.get(name)} (expected {value}) "
+                  f"{'ok' if ok else 'FAIL'}")
+            if not ok:
+                failures.append(f"{name} digest moved")
+    if "traced" in digests and digests["traced"] != got:
+        failures.append("traced digests differ from the untraced run's")
+    for msg in failures:
+        print(f"FAIL: {msg}")
+    if failures:
+        return 1
+    print("OK")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -610,6 +662,14 @@ def main():
                    help="committed BENCH_join.json; every fresh row's "
                         "deterministic counters must equal its own")
     j.set_defaults(fn=cmd_join)
+
+    pb = sub.add_parser("perfbench",
+                        help="benchmark digests equal the expected ones")
+    pb.add_argument("output", help="saved standard output of run.py")
+    for name in ("snapshot", "delivery", "zone"):
+        pb.add_argument(f"--{name}", required=True,
+                        help=f"expected untraced {name} digest (hex)")
+    pb.set_defaults(fn=cmd_perfbench)
 
     args = ap.parse_args()
     return args.fn(args)
