@@ -568,8 +568,9 @@ class HyperSubSystem {
     Kind kind = Kind::kAdd;
     ZoneAddr addr;
     Id key = 0;
-    StoredSub stored{};  ///< kAdd: the subscription to store
-    SubId sub{};         ///< kRemove: the subscription to remove
+    /// kAdd: the subscription to store. kRemove: the subscription to
+    /// remove, its owner and full-space range (no projection).
+    StoredSub stored{};
     HyperRect piece{};   ///< kPiece: the parent's summary ∩ this extent
     Id parent_key = 0;   ///< kPiece: the registering parent's key
   };
@@ -653,7 +654,7 @@ class HyperSubSystem {
   void reseed_replicas(net::HostIndex owner, const ZoneAddr& addr, Id key);
 
   void unsubscribe_impl(net::HostIndex subscriber, std::uint32_t scheme,
-                        std::uint32_t iid, const pubsub::Subscription& sub);
+                        std::uint32_t iid, pubsub::Subscription sub);
 
   // -- saturated zones (ZoneStore's code runs) --------------------------------
   // A zone changes form through these helpers, in a primary and a replica
