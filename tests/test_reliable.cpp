@@ -217,7 +217,9 @@ TEST(ReliableDelivery, FrameDeliveredThenExpiredReroutesNothing) {
   // retries: every event frame is delivered (10 ms) before its ack could
   // return (20 ms), so every frame also expires at its sender. A delivered
   // frame's subids are consumed: the expiry must reroute none of them, or
-  // the receiver's subtree would be processed twice.
+  // the receiver's subtree would be processed twice, and must not retire
+  // their outstanding slots again, or the event would finalize while its
+  // messages are still in flight.
   constexpr std::size_t kHosts = 24;
   std::vector<std::vector<double>> oneway(kHosts,
                                           std::vector<double>(kHosts, 10.0));
@@ -257,9 +259,18 @@ TEST(ReliableDelivery, FrameDeliveredThenExpiredReroutesNothing) {
   EXPECT_EQ(c.reroutes, 0u);
   EXPECT_EQ(c.duplicates_suppressed, 0u);
   std::set<std::tuple<std::uint64_t, net::HostIndex, std::uint32_t>> seen;
+  std::map<std::uint64_t, std::size_t> per_event;
   for (const auto& d : sys.deliveries()) {
     EXPECT_TRUE(seen.insert({d.event_seq, d.subscriber, d.iid}).second)
         << "duplicate delivery of event " << d.event_seq;
+    // Every hop takes 10 ms; a delivery after its event finalized reads 0.
+    EXPECT_GT(d.latency_ms, 0.0) << "event " << d.event_seq;
+    ++per_event[d.event_seq];
+  }
+  const auto& records = sys.event_metrics().records();
+  ASSERT_EQ(records.size(), 20u);
+  for (const auto& r : records) {
+    EXPECT_EQ(r.matched, per_event[r.seq]) << "event " << r.seq;
   }
 }
 
