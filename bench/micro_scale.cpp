@@ -224,6 +224,24 @@ void print_mem_breakdown(const PointResult& r) {
       (unsigned long long)b.children_clipped);
 }
 
+void print_usage(FILE* out) {
+  std::fprintf(
+      out,
+      "usage: micro_scale [--quick | --full] [--legacy] [--mem-breakdown]\n"
+      "                   [--nodes=N] [--subs-per-node=N] [--events=N]\n"
+      "                   [--setup-threads=N] [--json=PATH]\n"
+      "  (default)          the 6k and 100k points\n"
+      "  --quick            the gated 100k point, 1000 events\n"
+      "  --full             the 6k, 100k and 1M points\n"
+      "  --legacy           simulated per-subscription installs\n"
+      "  --mem-breakdown    print each point's zone-tree bytes\n"
+      "  --nodes, --subs-per-node\n"
+      "                     one custom point (defaults 2000 and 50)\n"
+      "  --events           events published in the measured phase\n"
+      "  --setup-threads    bulk set-up threads\n"
+      "  --json             output file (default BENCH_scale.json)\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -257,6 +275,14 @@ int main(int argc, char** argv) {
       opts.setup_threads = unsigned(std::atoi(argv[i] + 16));
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
+    } else if (std::strcmp(argv[i], "--help") == 0 ||
+               std::strcmp(argv[i], "-h") == 0) {
+      print_usage(stdout);
+      return 0;
+    } else {
+      std::fprintf(stderr, "micro_scale: unknown argument '%s'\n", argv[i]);
+      print_usage(stderr);
+      return 2;
     }
   }
   if (nodes_override || spn_override) {
