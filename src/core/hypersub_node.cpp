@@ -5,6 +5,8 @@
 #include <cassert>
 #include <tuple>
 
+#include "core/state_wire.hpp"
+
 namespace hypersub::core {
 
 void MigratedRepo::build_index() {
@@ -392,9 +394,7 @@ void HyperSubNode::save(common::ByteWriter& w) const {
   }
 }
 
-std::vector<V2Chain> HyperSubNode::restore(common::ByteReader& r,
-                                           std::uint32_t version) {
-  assert(version >= 1 && version <= common::kWireVersion);
+void HyperSubNode::restore(common::ByteReader& r) {
   local_entries_.clear();
   local_pool_.clear();
   local_live_ = 0;
@@ -423,15 +423,8 @@ std::vector<V2Chain> HyperSubNode::restore(common::ByteReader& r,
 
   primary_.restore_zones(r);
   replicas_.restore_zones(r);
-
-  std::vector<V2Chain> v2_chains;
-  if (version == 2) {
-    v2_chains.resize(r.u32());
-    for (V2Chain& c : v2_chains) c = load_v2_chain(r);
-  } else if (version >= 3) {
-    primary_.restore_saturated(r);
-    if (version >= 4) replicas_.restore_saturated(r);
-  }
+  primary_.restore_saturated(r);
+  replicas_.restore_saturated(r);
 
   const std::uint32_t n_repos = r.u32();
   for (std::uint32_t i = 0; i < n_repos; ++i) {
@@ -446,7 +439,6 @@ std::vector<V2Chain> HyperSubNode::restore(common::ByteReader& r,
     if (repo.indexed) repo.build_index();
     migrated_in_.emplace(tok, std::move(repo));
   }
-  return v2_chains;
 }
 
 void HyperSubNode::reset_surrogate_state() {

@@ -13,7 +13,6 @@
 
 #include "common/wire.hpp"
 #include "core/flat_map.hpp"
-#include "core/state_wire.hpp"
 #include "core/subscheme.hpp"
 #include "core/zone_state.hpp"
 #include "net/topology.hpp"
@@ -383,13 +382,8 @@ class HyperSubNode {
   /// Map iteration is by sorted key, so the bytes are deterministic.
   void save(common::ByteWriter& w) const;
 
-  /// Rebuild from save()'s encoding; replaces all current state. `version`
-  /// is the image's format: v1 images carry no zone-tree section, v2 images
-  /// carry chain records, which come back to the caller — only the system
-  /// knows the zone geometry needed to expand them — and v3 images carry
-  /// mask rows for the primary zones only.
-  std::vector<V2Chain> restore(common::ByteReader& r,
-                               std::uint32_t version = common::kWireVersion);
+  /// Rebuild from save()'s encoding; replaces all current state.
+  void restore(common::ByteReader& r);
 
   /// Drop all surrogate-side state (both zone stores, migrated-in buckets)
   /// ahead of a protocol rejoin: the node re-acquires zone state through

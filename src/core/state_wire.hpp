@@ -64,36 +64,6 @@ inline ZoneAddr load_zone_addr(common::ByteReader& r) {
   return a;
 }
 
-/// One chain record of a wire-v2 node image: a run of piece-only zones
-/// from a head down to `tail` along one parent path (`span` levels), the
-/// piece installed at the head, the head's parent key, and one rotated key
-/// per member. Member L's piece is piece ∩ extent(member L). v3 images keep
-/// these zones as ZoneStates or saturated-zone bits instead; v2 records are
-/// only read, and expanded on restore.
-struct V2Chain {
-  std::uint32_t scheme = 0;
-  std::uint32_t subscheme = 0;
-  lph::Zone tail;
-  std::uint32_t span = 0;
-  HyperRect piece;
-  Id parent_key = 0;
-  std::vector<Id> level_keys;  ///< member keys, head..tail
-};
-
-inline V2Chain load_v2_chain(common::ByteReader& r) {
-  V2Chain c;
-  c.scheme = r.u32();
-  c.subscheme = r.u32();
-  c.tail.code = r.u64();
-  c.tail.level = int(r.u32());
-  c.span = r.u32();
-  c.piece = load_rect(r);
-  c.parent_key = r.u64();
-  c.level_keys.reserve(c.span);
-  for (std::uint32_t i = 0; i < c.span; ++i) c.level_keys.push_back(r.u64());
-  return c;
-}
-
 inline void save_stored_sub(common::ByteWriter& w, const StoredSub& s) {
   save_subid(w, s.owner);
   save_rect(w, s.sub.range());

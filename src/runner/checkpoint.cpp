@@ -19,14 +19,14 @@ std::vector<std::uint8_t> checkpoint(core::HyperSubSystem& sys,
   return w.take();
 }
 
-void restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
+bool restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
              trace::Tracer* tracer) {
   common::ByteReader r(blob);
-  // v1 checkpoints still load: only the node-image layout gained a section
-  // in v2, and HyperSubSystem::restore_state handles both shapes.
-  const std::uint32_t ver = r.u32();
-  assert(ver >= 1 && ver <= common::kWireVersion);
-  (void)ver;
+  // Only the current format has a reader: an image of any other version is
+  // refused before anything is touched, in every build type.
+  if (blob.size() < sizeof(std::uint32_t) || r.u32() != common::kWireVersion) {
+    return false;
+  }
   // Advance the fresh simulator's clock to the checkpointed time by
   // draining an empty task scheduled there — timers laid out after the
   // restore resume on the original timeline.
@@ -45,6 +45,7 @@ void restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
     sys.set_tracer(tracer);  // binds shard-local id counters first
     tracer->restore_state(r);
   }
+  return true;
 }
 
 }  // namespace hypersub::runner

@@ -34,8 +34,11 @@ std::vector<std::uint8_t> checkpoint(core::HyperSubSystem& sys,
 /// the simulator clock to the checkpointed time, restores network /
 /// overlay / system state, then (if the blob carries one) attaches and
 /// restores the tracer — set_tracer runs before the tracer's own
-/// restore_state so its shard binding matches this simulation.
-void restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
-             trace::Tracer* tracer = nullptr);
+/// restore_state so its shard binding matches this simulation. Returns
+/// false, with the stack untouched, when the blob's leading format word is
+/// not common::kWireVersion: images of older formats have no reader.
+[[nodiscard]] bool restore(core::HyperSubSystem& sys,
+                           const std::vector<std::uint8_t>& blob,
+                           trace::Tracer* tracer = nullptr);
 
 }  // namespace hypersub::runner

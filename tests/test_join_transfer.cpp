@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "chord/chord_net.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
 #include "net/topology.hpp"
 #include "runner/checkpoint.hpp"
@@ -374,7 +375,7 @@ std::vector<std::uint8_t> scripted_run(bool interrupt) {
   ropts.bootstrap = core::BootstrapMode::kNone;
   Stack r = make_stack(ropts);
   trace::Tracer rtracer;
-  runner::restore(*r.sys, mid, &rtracer);
+  EXPECT_TRUE(runner::restore(*r.sys, mid, &rtracer));
   EXPECT_EQ(r.sim->now(), s.sim->now());
   schedule(r, events, kCut, kEvents);
   r.sim->run();
@@ -389,6 +390,33 @@ TEST(JoinTransfer, CheckpointRestoreIsByteIdentical) {
   // A checkpointed-and-restored run is indistinguishable from one that
   // never stopped.
   EXPECT_EQ(uninterrupted, resumed);
+}
+
+// Only the current format has a reader: a blob whose format word names
+// another version is refused before the stack is touched, and the same
+// fresh stack then restores from the correct blob.
+TEST(JoinTransfer, RestoreRefusesAnotherWireVersion) {
+  Stack s = make_stack({});
+  Rng rng(37);
+  for (int i = 0; i < 40; ++i) {
+    s.sys->subscribe(net::HostIndex(rng.index(32)), s.scheme,
+                     s.gen->make_subscription());
+  }
+  s.sim->run();
+  const auto blob = runner::checkpoint(*s.sys);
+  ASSERT_EQ(common::ByteReader(blob).u32(), common::kWireVersion);
+  // The leading word is little-endian: rewrite it as 3.
+  auto older = blob;
+  older[0] = 3;
+  older[1] = older[2] = older[3] = 0;
+
+  Stack r = make_stack({.bootstrap = core::BootstrapMode::kNone});
+  EXPECT_FALSE(runner::restore(*r.sys, older));
+  EXPECT_EQ(r.sim->now(), 0.0);
+  ASSERT_TRUE(runner::restore(*r.sys, blob));
+  EXPECT_EQ(r.sim->now(), s.sim->now());
+  EXPECT_EQ(r.sys->zone_content_digest(), s.sys->zone_content_digest());
+  EXPECT_EQ(runner::checkpoint(*r.sys), blob);
 }
 
 // --- delivery through churn ----------------------------------------------

@@ -2,19 +2,15 @@
 // extent is stored as a code in its zone store's saturated runs instead of
 // a ZoneState. The representation must be invisible: the per-zone content
 // digest, the delivery sets, the zone invariants, join/leave transfer and
-// checkpoint images — including wire-v2 images written in the older chain
-// format and a wire-v3 image whose replica zones were all materialized —
-// match a tree of materialized zones, while the zone tree shrinks.
+// checkpoint images match a tree of materialized zones, while the zone tree
+// shrinks.
 // The digest and delivery literals below were taken when both forms still
 // ran side by side and agreed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <memory>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -338,7 +334,7 @@ TEST(ZoneCompress, CheckpointRoundTrip) {
   StackOpts ropts = base;
   ropts.bootstrap = core::BootstrapMode::kNone;
   Stack r = make_stack(ropts);
-  runner::restore(*r.sys, blob);
+  ASSERT_TRUE(runner::restore(*r.sys, blob));
   EXPECT_TRUE(r.sys->check_zone_invariants());
   EXPECT_EQ(r.sys->zone_content_digest(), s.sys->zone_content_digest());
   EXPECT_EQ(total_saturated(r), total_saturated(s));
@@ -354,137 +350,6 @@ TEST(ZoneCompress, CheckpointRoundTrip) {
   s.sys->finalize_events();
   r.sys->finalize_events();
   EXPECT_EQ(delivery_set(s), delivery_set(r));
-}
-
-/// ZoneStates of either store that the fold rule would turn into a bit or
-/// drop: non-root zones storing at most a piece equal to their extent.
-std::size_t foldable_zones(const Stack& s) {
-  std::size_t n = 0;
-  for (net::HostIndex h = 0; h < s.topo->size(); ++h) {
-    const auto& nd = s.sys->node(h);
-    for (const core::ZoneStore* store : {&nd.primary(), &nd.replicas()}) {
-      for (const auto& [addr, z] : store->zones()) {
-        if (addr.zone.level < 1 || z.subscription_count() > 0 ||
-            !z.buckets().empty()) {
-          continue;
-        }
-        const auto& pp = z.parent_piece();
-        const lph::ZoneSystem& zsys = s.sys->scheme_runtime(addr.scheme)
-                                          .subscheme(addr.subscheme)
-                                          .zones();
-        if (!pp || pp->first.empty() || pp->first == zsys.extent(addr.zone)) {
-          ++n;
-        }
-      }
-    }
-  }
-  return n;
-}
-
-// Legacy images, from tests/data, each a checkpoint of a routed stack
-// taken by an older writer. They must restore to the digest and the
-// deliveries the writer had, with every zone of either store in the
-// current form, and re-checkpoint byte-identically.
-struct LegacyImage {
-  const char* file;
-  std::uint32_t version;
-  StackOpts opts;
-  std::uint64_t rng_seed;  ///< host draws of the installs and the feed
-  int installs;
-  int events;
-  std::uint64_t digest;
-  std::size_t deliveries;
-  std::uint64_t delivery_hash;
-};
-
-// Wire v2: 8 hosts, seed 17, a 6-level tree, 8 routed installs drawn with
-// Rng(53), written once with path-compressed chains (partial and
-// multi-level records among them) and once with every zone materialized.
-constexpr StackOpts kV2Stack{.hosts = 8,
-                             .seed = 17,
-                             .splits_per_dim = 3,
-                             .bootstrap = core::BootstrapMode::kNone};
-constexpr LegacyImage kV2Chains{"zone_tree_v2_chains.bin",
-                                2,
-                                kV2Stack,
-                                53,
-                                8,
-                                12,
-                                0x7c6d0c91daf489a3ull,
-                                7,
-                                0x680f3e9ed6a53425ull};
-// Wire v3 with two replicas: 16 hosts, seed 29, a 6-level tree, 40 routed
-// installs drawn with Rng(61), every fourth then removed. Its writer kept
-// every primary and replica zone materialized, husks included.
-constexpr LegacyImage kV3Replicas{
-    "zone_tree_v3_replicas.bin",
-    3,
-    {.hosts = 16, .seed = 29, .splits_per_dim = 3, .replicas = 2},
-    61,
-    40,
-    16,
-    0xb1f9d74cada7588eull,
-    22,
-    0x9c114f3ce324e488ull};
-
-void expect_image_restores(const LegacyImage& img) {
-  std::ifstream in(std::string(HYPERSUB_TEST_DATA_DIR) + "/" + img.file,
-                   std::ios::binary);
-  ASSERT_TRUE(in) << img.file;
-  const std::vector<std::uint8_t> image{std::istreambuf_iterator<char>(in),
-                                        std::istreambuf_iterator<char>()};
-  ASSERT_EQ(common::ByteReader(image).u32(), img.version) << img.file;
-
-  Stack r = make_stack(img.opts);
-  runner::restore(*r.sys, image);
-  EXPECT_TRUE(r.sys->check_zone_invariants());
-  EXPECT_EQ(r.sys->zone_content_digest(), img.digest)
-      << std::hex << "digest 0x" << r.sys->zone_content_digest();
-  EXPECT_EQ(foldable_zones(r), 0u);
-  EXPECT_GT(total_saturated(r), 0u);
-  if (img.opts.replicas > 0) {
-    std::size_t replica_bits = 0;
-    for (net::HostIndex h = 0; h < r.topo->size(); ++h) {
-      replica_bits += r.sys->node(h).replicas().saturated_count();
-    }
-    EXPECT_GT(replica_bits, 0u);
-  }
-
-  // A second round trip through the current format is byte-identical.
-  const auto blob = runner::checkpoint(*r.sys);
-  Stack r2 = make_stack(img.opts);
-  runner::restore(*r2.sys, blob);
-  EXPECT_EQ(runner::checkpoint(*r2.sys), blob);
-
-  // The writer's event feed: the same generator and host draws, after the
-  // installs.
-  Rng rng(img.rng_seed);
-  for (int i = 0; i < img.installs; ++i) {
-    rng.index(img.opts.hosts);
-    r.gen->make_subscription();
-  }
-  for (int i = 0; i < img.events; ++i) {
-    const net::HostIndex pub = net::HostIndex(rng.index(img.opts.hosts));
-    r.sys->publish(pub, r.scheme, r.gen->make_event());
-  }
-  r.sim->run();
-  r.sys->finalize_events();
-  const auto rows = delivery_set(r);
-  EXPECT_EQ(rows.size(), img.deliveries);
-  EXPECT_EQ(delivery_hash(rows), img.delivery_hash)
-      << std::hex << "delivery hash 0x" << delivery_hash(rows);
-}
-
-TEST(ZoneCompress, V2ChainImageRestores) { expect_image_restores(kV2Chains); }
-
-TEST(ZoneCompress, UncompressedImageRestoresIntoCompressedSystem) {
-  LegacyImage img = kV2Chains;
-  img.file = "zone_tree_v2_materialized.bin";
-  expect_image_restores(img);
-}
-
-TEST(ZoneCompress, V3ReplicaImageFoldsBothStores) {
-  expect_image_restores(kV3Replicas);
 }
 
 // --- determinism ------------------------------------------------------------
