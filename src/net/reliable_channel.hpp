@@ -11,8 +11,10 @@
 // caller can re-resolve the next hop (successor-list failover) instead of
 // losing the payload.
 //
-// Delivery is exactly-once per logical message: a retransmission that races
-// its predecessor is suppressed by a receiver-side seen-set. Ack traffic is
+// Delivery is at most once per logical message: a retransmission that races
+// its predecessor is suppressed by a receiver-side seen-set. `on_fail` means
+// that no ack came back by the last deadline, not that nothing arrived (see
+// send()). Ack traffic is
 // accounted through Network like every other message, so the bandwidth
 // metrics see the true cost of reliability.
 
@@ -69,13 +71,24 @@ class ReliableChannel {
   ReliableChannel& operator=(const ReliableChannel&) = delete;
 
   /// Send `bytes` from `from` to `to`; `deliver` runs at the destination
-  /// exactly once (retransmissions are deduplicated). If the destination
-  /// stays unresponsive through all retries, `on_fail` runs at the sender —
-  /// the reroute hook — unless the sender itself died meanwhile. `deliver`
-  /// and `on_fail` are mutually exclusive. Self-sends bypass the ack
-  /// machinery (local delivery cannot fail). `tctx`, when active and a
-  /// tracer is attached, causes retransmissions and final expiry to be
-  /// recorded as retry/expire spans under the caller's span.
+  /// at most once (retransmissions are deduplicated). If no ack has come
+  /// back by the last attempt's deadline, `on_fail` runs at the sender —
+  /// the reroute hook — unless the sender itself died meanwhile.
+  ///
+  /// `on_fail` means only that no ack came back in time: an ack can arrive
+  /// after the last deadline, so the payload may already have been
+  /// delivered and both callbacks can run for one message. Hence
+  /// Config::ack_timeout_ms must exceed the topology's worst-case round
+  /// trip, or a live peer is taken for dead and its payload handled twice:
+  /// an event frame's reroute evicts a live next hop, and the
+  /// LoadBalancer's rollback of a bucket handoff runs after the acceptor
+  /// took the bucket (read from the code, not observed; DESIGN.md,
+  /// "Reliable delivery under failure").
+  ///
+  /// Self-sends bypass the ack machinery (local delivery cannot fail).
+  /// `tctx`, when active and a tracer is attached, causes retransmissions
+  /// and final expiry to be recorded as retry/expire spans under the
+  /// caller's span.
   void send(HostIndex from, HostIndex to, std::uint64_t bytes,
             std::function<void()> deliver,
             std::function<void()> on_fail = {},
