@@ -42,7 +42,7 @@ bool restore(core::HyperSubSystem& sys, const std::vector<std::uint8_t>& blob,
   assert(has_tracer == (tracer != nullptr));
   (void)has_tracer;
   if (tracer) {
-    sys.set_tracer(tracer);  // binds shard-local id counters first
+    sys.set_tracer(tracer);
     tracer->restore_state(r);
   }
   return true;

@@ -32,9 +32,8 @@ std::vector<std::uint8_t> checkpoint(core::HyperSubSystem& sys,
 
 /// Rebuild a freshly constructed stack from a checkpoint blob: advances
 /// the simulator clock to the checkpointed time, restores network /
-/// overlay / system state, then (if the blob carries one) attaches and
-/// restores the tracer — set_tracer runs before the tracer's own
-/// restore_state so its shard binding matches this simulation. Returns
+/// overlay / system state, then (if the blob carries one) attaches the
+/// tracer and restores its span log and id counters. Returns
 /// false, with the stack untouched, when the blob's leading format word is
 /// not common::kWireVersion: images of older formats have no reader.
 [[nodiscard]] bool restore(core::HyperSubSystem& sys,

@@ -24,8 +24,8 @@ namespace hypersub::trace {
 /// Identifies one causal tree (one published event, one subscription
 /// installation, one migration handoff). 0 = not traced.
 using TraceId = std::uint64_t;
-/// Identifies one span within a Tracer. 0 = none. Ids encode the execution
-/// context (shard) that allocated them in the high bits.
+/// Identifies one span within a Tracer. 0 = none. A tracer numbers its
+/// spans 1, 2, 3, ... in the order they open.
 using SpanId = std::uint64_t;
 
 inline constexpr TraceId kNoTrace = 0;

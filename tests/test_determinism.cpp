@@ -274,21 +274,21 @@ void expect_pinned(const RunOutput& r, std::uint64_t snapshot_hash,
 TEST(Determinism, BaselineRunIsReproducible) {
   const auto a = run_once({});
   expect_identical(a, run_once({}));
-  expect_pinned(a, 0xf4b628f6c4870610ull, 0x5e3f4cc4b5b0d2feull);
+  expect_pinned(a, 0xf4b628f6c4870610ull, 0x75a9bd31df08abb7ull);
 }
 
 TEST(Determinism, FastLaneRunIsReproducible) {
   const RunOpts o{.cache = true, .batch = true, .load_balance = true};
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
-  expect_pinned(a, 0x5dfe1dadf4800d52ull, 0x8cd3731aa7b3f52bull);
+  expect_pinned(a, 0x5dfe1dadf4800d52ull, 0x4bdf234bc5c1ecdcull);
 }
 
 TEST(Determinism, ChurnWithReliabilityIsReproducible) {
   const RunOpts o{.reliable = true, .replicas = 2, .churn = true};
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
-  expect_pinned(a, 0xc25bd3ffbee8ff60ull, 0xcf3397b03f3d47a0ull);
+  expect_pinned(a, 0xc25bd3ffbee8ff60ull, 0xd95e79604dfdda9cull);
 }
 
 TEST(Determinism, ReliableBatchedChurnIsReproducible) {
@@ -305,14 +305,14 @@ TEST(Determinism, ReliableBatchedChurnIsReproducible) {
   EXPECT_GT(a.batch.chunks, a.batch.frames);
   EXPECT_GT(a.rel.expirations, 0u);
   EXPECT_GT(a.rel.reroutes, 0u);
-  expect_pinned(a, 0xac84c1689c5ae822ull, 0x7da9be0757ed6a65ull);
+  expect_pinned(a, 0xac84c1689c5ae822ull, 0xacee3a9e240e2845ull);
 }
 
 TEST(Determinism, CoverAggregationRunIsReproducible) {
   const RunOpts o{.load_balance = true, .cover = true};
   const auto a = run_once(o);
   expect_identical(a, run_once(o));
-  expect_pinned(a, 0x08365c52d08da10aull, 0x0d2a88987718e45cull);
+  expect_pinned(a, 0x08365c52d08da10aull, 0x879e5b211c1991dfull);
 }
 
 TEST(Determinism, ProtocolJoinLeaveUnderWritesIsReproducible) {
@@ -328,7 +328,7 @@ TEST(Determinism, ProtocolJoinLeaveUnderWritesIsReproducible) {
   EXPECT_GT(a.stats.queued_ops_replayed, 0u);
   EXPECT_GT(a.stats.warm_ops_replayed, 0u);
   EXPECT_TRUE(a.invariants);
-  expect_pinned(a.run, 0xc72de70dc618c164ull, 0x349a23c61cd4e298ull);
+  expect_pinned(a.run, 0xc72de70dc618c164ull, 0xddb2f759977f775eull);
   EXPECT_EQ(a.zone_digest, 0x7b0795e76f277cc8ull)
       << std::hex << "zone digest 0x" << a.zone_digest;
   const std::string_view image(reinterpret_cast<const char*>(a.image.data()),
@@ -342,7 +342,7 @@ TEST(Determinism, SampledTracingIsReproducibleAndStableAcrossRates) {
   const auto a = run_once(half);
   const auto b = run_once(half);
   expect_identical(a, b);
-  expect_pinned(a, 0xf4b628f6c4870610ull, 0xf419ef9cdba8ec50ull);
+  expect_pinned(a, 0xf4b628f6c4870610ull, 0x28138719e7452c42ull);
   ASSERT_GT(a.spans.size(), 0u);
 
   // Changing only the sample rate never renumbers traces: the rate-0.5

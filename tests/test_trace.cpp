@@ -1,8 +1,9 @@
 // Tracing subsystem tests: Tracer unit semantics (deterministic sampling,
-// span lifecycle, the span cap, reset), end-to-end causal-tree propagation
-// (the trace tree reconstructs exactly the delivery set, through churn with
-// reliable delivery and through the route cache's stale-hit
-// forward-and-correct), and structural validation of the exporters.
+// span lifecycle, the span cap, reset, dense span ids across a checkpoint),
+// end-to-end causal-tree propagation (the trace tree reconstructs exactly
+// the delivery set, through churn with reliable delivery and through the
+// route cache's stale-hit forward-and-correct), and structural validation
+// of the exporters.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <unordered_map>
 
 #include "chord/chord_net.hpp"
+#include "common/wire.hpp"
 #include "core/hypersub_system.hpp"
 #include "core/route_cache.hpp"
 #include "net/topology.hpp"
@@ -119,6 +121,44 @@ TEST(TracerUnit, ResetClearsSpansButKeepsIdsUnique) {
   const auto s2 = t.point(t2, kNoSpan, SpanKind::kPublish, 0, 2.0);
   EXPECT_NE(t1, t2);
   EXPECT_NE(s1, s2);  // span ids are not reused across a reset
+}
+
+TEST(TracerUnit, DenseSpanIdsSurviveResetRestoreAndTheCap) {
+  // Span ids are 1, 2, 3, ... and end() finds its row by subtraction.
+  Tracer t(Tracer::Config{.max_spans = 3});
+  const auto tid = t.start_trace(1.0);
+  const auto s1 = t.begin(tid, kNoSpan, SpanKind::kPublish, 0, 1.0);
+  EXPECT_EQ(s1, 1u);
+
+  // After reset(), ending a pre-reset id changes no row.
+  t.reset();
+  const auto s2 = t.begin(tid, kNoSpan, SpanKind::kForward, 0, 2.0);
+  EXPECT_EQ(s2, 2u);
+  t.end(s1, 9.0);
+  ASSERT_EQ(t.span_count(), 1u);
+  EXPECT_TRUE(t.spans()[0].open());
+
+  // A span open at the checkpoint is closed by end() in the restored
+  // tracer, and the next begin() continues the sequence.
+  const auto s3 = t.begin(tid, s2, SpanKind::kDeliver, 0, 3.0);
+  common::ByteWriter w;
+  t.save_state(w);
+  const std::vector<std::uint8_t> image = w.take();
+  Tracer r(Tracer::Config{.max_spans = 3});
+  common::ByteReader in(image);
+  r.restore_state(in);
+  EXPECT_EQ(r.spans(), t.spans());
+  r.end(s2, 4.0);
+  EXPECT_DOUBLE_EQ(r.spans()[0].end_ms, 4.0);
+  EXPECT_TRUE(r.spans()[1].open());
+  EXPECT_EQ(r.begin(tid, s3, SpanKind::kDeliver, 0, 5.0), s3 + 1);
+
+  // Spans refused at max_spans consume no id.
+  EXPECT_EQ(r.begin(tid, s3, SpanKind::kDeliver, 0, 6.0), kNoSpan);
+  EXPECT_EQ(r.dropped_spans(), 1u);
+  r.reset();
+  EXPECT_EQ(r.begin(tid, kNoSpan, SpanKind::kPublish, 0, 7.0), s3 + 2);
+  EXPECT_EQ(r.traces_started(), 1u);
 }
 
 // ---------------------------------------------------------------------------
