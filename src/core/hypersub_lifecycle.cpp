@@ -189,15 +189,13 @@ void HyperSubSystem::join_node(net::HostIndex host, net::HostIndex bootstrap) {
   }
   // Failsafe: if the snapshot source dies or stabilization stalls, stop
   // warming and serve with whatever arrived — degraded but live.
-  simulator().schedule_on(host, kHandoverTimeoutMs,
-                          [this, host, epoch] {
-                            WarmState& w2 = warm_[host];
-                            if (w2.warming && w2.epoch == epoch &&
-                                network().alive(host)) {
-                              ++join_stats_.joins_aborted;
-                              finish_warming(host);
-                            }
-                          });
+  simulator().schedule(kHandoverTimeoutMs, [this, host, epoch] {
+    WarmState& w2 = warm_[host];
+    if (w2.warming && w2.epoch == epoch && network().alive(host)) {
+      ++join_stats_.joins_aborted;
+      finish_warming(host);
+    }
+  });
 }
 
 void HyperSubSystem::begin_state_transfer(net::HostIndex joiner) {
@@ -269,8 +267,8 @@ void HyperSubSystem::open_transfer(net::HostIndex owner,
 
 void HyperSubSystem::schedule_handover_tick(net::HostIndex owner,
                                             std::uint64_t epoch) {
-  simulator().schedule_on(owner, cfg_.handover_tick_ms,
-                          [this, owner, epoch] { handover_tick(owner, epoch); });
+  simulator().schedule(cfg_.handover_tick_ms,
+                       [this, owner, epoch] { handover_tick(owner, epoch); });
 }
 
 void HyperSubSystem::handover_tick(net::HostIndex owner, std::uint64_t epoch) {
@@ -324,8 +322,7 @@ void HyperSubSystem::commit_join_handover(net::HostIndex owner) {
   const std::uint64_t epoch = t.epoch;
   // Lost-ack failsafe (the joiner died with the commit in flight): clear
   // the session at the deadline so the owner can serve future transfers.
-  simulator().schedule_on(
-      owner,
+  simulator().schedule(
       std::max(0.0, t.deadline_ms - simulator().now()) + cfg_.handover_tick_ms,
       [this, owner, epoch] {
         TransferOut& t2 = transfers_out_[owner];
@@ -374,8 +371,7 @@ void HyperSubSystem::commit_leave_handover(net::HostIndex owner) {
   // Everything moved; collect the set for the target-side fixups.
   auto moved = std::make_shared<std::vector<std::pair<Id, ZoneAddr>>>(
       zones_in_order(owner, /*saturated=*/true));
-  simulator().schedule_on(
-      owner,
+  simulator().schedule(
       std::max(0.0, t.deadline_ms - simulator().now()) + cfg_.handover_tick_ms,
       [this, owner, epoch] {
         TransferOut& t2 = transfers_out_[owner];

@@ -84,8 +84,8 @@ void ReliableChannel::attempt(const std::shared_ptr<Message>& m,
     // At-most-once across the reroute: the sender is about to resend the
     // payload through another hop, so a late-arriving copy of THIS message
     // must not also be processed: poison the receiver's seen-set.
-    net_.simulator().schedule_on(
-        m->to, 0.0, [this, m] { delivered_[m->to].insert(m->id); });
+    net_.simulator().schedule(
+        0.0, [this, m] { delivered_[m->to].insert(m->id); });
     if (auto* tr = trace::maybe(tracer_); tr && m->tctx.active()) {
       tr->point(m->tctx.trace, m->tctx.parent, trace::SpanKind::kExpire,
                 m->from, net_.simulator().now(), std::uint64_t(m->to));

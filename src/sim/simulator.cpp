@@ -7,21 +7,12 @@ namespace hypersub::sim {
 
 void Simulator::schedule(Time delay, Task action) {
   if (delay < 0.0) delay = 0.0;
-  schedule_at_on(now_ + delay, current_shard_, std::move(action));
+  queue_.push(now_ + delay, seq_++, std::move(action));
 }
 
 void Simulator::schedule_at(Time when, Task action) {
-  schedule_at_on(when, current_shard_, std::move(action));
-}
-
-void Simulator::schedule_on(Shard shard, Time delay, Task action) {
-  if (delay < 0.0) delay = 0.0;
-  schedule_at_on(now_ + delay, shard, std::move(action));
-}
-
-void Simulator::schedule_at_on(Time when, Shard shard, Task&& action) {
   assert(when >= now_);
-  queue_.push(when, seq_++, shard, std::move(action));
+  queue_.push(when, seq_++, std::move(action));
 }
 
 void Simulator::pop_and_run() {
@@ -30,10 +21,8 @@ void Simulator::pop_and_run() {
   const EventQueue::Key k = queue_.top();
   Task action = queue_.pop();
   now_ = k.when;
-  current_shard_ = k.shard;
   ++executed_;
   action();
-  current_shard_ = kNoShard;
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_events) {

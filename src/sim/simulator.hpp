@@ -29,19 +29,11 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedule `action` to run `delay` ms from now. Negative delays clamp
-  /// to "immediately" (same-time events run in scheduling order). The
-  /// event inherits the scheduling context's shard: events scheduled from
-  /// within a shard-tagged event stay on that shard; events scheduled
-  /// from outside any event (or from an exclusive event) are exclusive.
+  /// to "immediately" (same-time events run in scheduling order).
   void schedule(Time delay, Task action);
 
-  /// Schedule at an absolute virtual time (>= now()). Inherits the
-  /// current shard like schedule().
+  /// Schedule at an absolute virtual time (>= now()).
   void schedule_at(Time when, Task action);
-
-  /// Schedule on an explicit shard (the host whose state the callback
-  /// touches; see current_shard()).
-  void schedule_on(Shard shard, Time delay, Task action);
 
   /// Run until the queue drains or `max_events` have executed.
   /// Returns the number of events executed.
@@ -56,19 +48,13 @@ class Simulator {
   /// Total events executed so far.
   std::uint64_t executed() const noexcept { return executed_; }
 
-  /// Shard of the currently executing event (kNoShard outside events and
-  /// in exclusive events). The tracer mints trace and span ids per shard.
-  Shard current_shard() const noexcept { return current_shard_; }
-
  private:
-  void schedule_at_on(Time when, Shard shard, Task&& action);
   void pop_and_run();
 
   EventQueue queue_;  // seq is the FIFO tiebreak for equal timestamps
   Time now_ = 0.0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;
-  Shard current_shard_ = kNoShard;
 };
 
 }  // namespace hypersub::sim

@@ -190,32 +190,6 @@ TEST(Simulator, NegativeDelayKeepsFifoWithExistingEvents) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-// --- shard tags ----------------------------------------------------------
-
-TEST(Simulator, ShardContextInheritance) {
-  // Shard tags do not affect order; they name the executing context (the
-  // tracer mints ids per shard). schedule() inherits the current shard,
-  // driver-side schedules are exclusive (kNoShard).
-  Simulator s;
-  bool checked_shard = false, checked_main = false;
-  EXPECT_EQ(s.current_shard(), kNoShard);
-  s.schedule_on(3, 0.0, [&] {
-    EXPECT_EQ(s.current_shard(), Shard{3});
-    s.schedule(0.5, [&] {
-      EXPECT_EQ(s.current_shard(), Shard{3});
-      checked_shard = true;
-    });
-  });
-  s.schedule(0.25, [&] {
-    EXPECT_EQ(s.current_shard(), kNoShard);
-    checked_main = true;
-  });
-  s.run();
-  EXPECT_TRUE(checked_shard);
-  EXPECT_TRUE(checked_main);
-  EXPECT_EQ(s.current_shard(), kNoShard);
-}
-
 // --- EventQueue ------------------------------------------------------------
 
 TEST(EventQueue, RandomInterleavingPopsInWhenSeqOrderAndReusesSlots) {
@@ -233,7 +207,7 @@ TEST(EventQueue, RandomInterleavingPopsInWhenSeqOrderAndReusesSlots) {
     for (std::size_t i = rng.index(60); i > 0; --i) {
       const Time when = double(rng.index(25)) * 0.5;
       const std::uint64_t s = seq++;
-      q.push(when, s, Shard(s % 7), [&ran, s] { ran = s; });
+      q.push(when, s, [&ran, s] { ran = s; });
       ref.emplace(when, s);
       peak = std::max(peak, ref.size());
     }
@@ -243,7 +217,6 @@ TEST(EventQueue, RandomInterleavingPopsInWhenSeqOrderAndReusesSlots) {
       const EventQueue::Key k = q.top();
       ASSERT_EQ(k.when, expect.first);
       ASSERT_EQ(k.seq, expect.second);
-      EXPECT_EQ(k.shard, Shard(k.seq % 7));
       max_slot = std::max(max_slot, k.slot);
       Task t = q.pop();
       t();
