@@ -15,6 +15,7 @@ namespace hypersub {
 namespace {
 
 struct Stack {
+  std::unique_ptr<workload::WorkloadGenerator> gen;
   std::unique_ptr<net::KingLikeTopology> topo;
   std::unique_ptr<sim::Simulator> sim;
   std::unique_ptr<net::Network> net;
@@ -41,13 +42,12 @@ Stack make_stack(std::size_t n, std::uint64_t seed = 1) {
 
 std::uint32_t add_tiny_scheme(Stack& s, std::uint64_t gen_seed,
                               workload::WorkloadGenerator** out_gen) {
-  static thread_local std::unique_ptr<workload::WorkloadGenerator> gen;
-  gen = std::make_unique<workload::WorkloadGenerator>(workload::tiny_spec(),
-                                                      gen_seed);
-  *out_gen = gen.get();
+  s.gen = std::make_unique<workload::WorkloadGenerator>(
+      workload::tiny_spec(), gen_seed);
+  *out_gen = s.gen.get();
   core::SchemeOptions opt;
   opt.zone_cfg = lph::ZoneSystem::Config::for_dims(2);
-  return s.sys->add_scheme(gen->scheme(), opt);
+  return s.sys->add_scheme(s.gen->scheme(), opt);
 }
 
 TEST(Failure, EventToDeadSubscriberIsDroppedSilently) {
