@@ -4,12 +4,14 @@
 //   $ ./examples/quickstart
 //
 // Walks through the whole public API surface: topology → network → Chord →
-// HyperSubSystem → scheme → subscription handles → per-publish delivery
-// callbacks → unsubscribe → metrics snapshot.
+// HyperSubSystem → scheme → subscription handles → a delivery sink →
+// unsubscribe → metrics snapshot.
 
 #include <cstdio>
+#include <vector>
 
 #include "chord/chord_net.hpp"
+#include "core/delivery_sink.hpp"
 #include "core/hypersub_system.hpp"
 #include "metrics/snapshot.hpp"
 #include "net/topology.hpp"
@@ -61,35 +63,43 @@ int main() {
   }
   simulator.run();  // let the installations settle
 
-  // 5. Node 42 publishes three quotes. A per-publish callback sees each
-  //    notification for this event as it lands on a subscriber.
+  // 5. Deliveries go to the system's delivery sink. This callback sink
+  //    prints each notification as it lands on a subscriber and keeps a
+  //    log of them.
   auto announce = [](const core::Delivery& d) {
     std::printf("  event #%llu -> node %zu (sub iid=%u) after %d hops,"
                 " %.1f ms\n",
                 (unsigned long long)d.event_seq, d.subscriber, d.iid, d.hops,
                 d.latency_ms);
   };
-  hypersub.publish(42, scheme, pubsub::Event{0, {120.0, 750000.0}},
-                   announce);  // matches both
-  hypersub.publish(42, scheme, pubsub::Event{0, {120.0, 1000.0}},
-                   announce);  // matches node 13 only
-  hypersub.publish(42, scheme, pubsub::Event{0, {900.0, 750000.0}},
-                   announce);  // matches none
+  std::vector<core::Delivery> log;
+  core::CallbackDeliverySink sink([&](const core::Delivery& d) {
+    announce(d);
+    log.push_back(d);
+  });
+  hypersub.set_delivery_sink(sink);
+
+  // 6. Node 42 publishes three quotes.
+  hypersub.publish(42, scheme,
+                   pubsub::Event{0, {120.0, 750000.0}});  // matches both
+  hypersub.publish(42, scheme,
+                   pubsub::Event{0, {120.0, 1000.0}});  // matches node 13 only
+  hypersub.publish(42, scheme,
+                   pubsub::Event{0, {900.0, 750000.0}});  // matches none
   simulator.run();
   hypersub.finalize_events();
 
-  // 6. The handle tears the subscription down again.
+  // 7. The handle tears the subscription down again.
   hypersub.unsubscribe(cheap_high_volume);
   simulator.run();
   hypersub.publish(42, scheme, pubsub::Event{0, {120.0, 750000.0}});
   simulator.run();
   hypersub.finalize_events();
 
-  // 7. Deliveries also accumulate in the system's delivery sink (the
-  //    default sink keeps a full log), and metrics::snapshot() bundles
-  //    every counter the system tracks.
-  std::printf("delivery log (%zu rows):\n", hypersub.deliveries().size());
-  for (const auto& d : hypersub.deliveries()) announce(d);
+  // 8. The delivery log, and metrics::snapshot(), which bundles every
+  //    counter the system tracks.
+  std::printf("delivery log (%zu rows):\n", log.size());
+  for (const auto& d : log) announce(d);
   const auto snap = metrics::snapshot(hypersub);
   std::printf("snapshot: %s\n", snap.to_json().c_str());
   return 0;

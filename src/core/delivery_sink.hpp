@@ -2,9 +2,9 @@
 // DeliverySink: where completed event deliveries go. Tests and examples
 // want every delivery recorded (VectorDeliverySink); large experiment runs
 // only need counts (CountingDeliverySink); examples can observe deliveries
-// as they happen (CallbackDeliverySink, or a per-publish callback on
-// HyperSubSystem::publish). The system owns a VectorDeliverySink by
-// default, so `deliveries()` keeps working out of the box.
+// as they happen (CallbackDeliverySink). The system owns a
+// VectorDeliverySink by default, so `deliveries()` keeps working out of the
+// box.
 
 #include <cstdint>
 #include <functional>
