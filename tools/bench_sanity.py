@@ -55,9 +55,11 @@ Subcommands:
   trace FRESH.json [--max-overhead F]
       Validate the tracing-overhead contract from the same micro_route
       json (self-relative — both sides of the comparison ran interleaved
-      in one process): keeping a tracer attached at sample rate 0 must
-      cost at most F (default 2%) over running with no tracer at all, and
-      the sampled run must have produced complete causal trees.
+      in one process, and the pair was built in both orders; the overhead
+      is the geometric mean of the two orders' medians): keeping a tracer
+      attached at sample rate 0 must cost at most F (default 2%) over
+      running with no tracer at all, and the sampled run must have
+      produced complete causal trees.
 
   cover FRESH.json [--min-reg-reduction F] [--min-bytes-reduction F]
       Validate a fresh micro_cover run (self-relative): the delivery
@@ -206,10 +208,16 @@ def cmd_trace(args):
                  f"(rerun bench/micro_route)")
 
     overhead = tr["overhead"]
-    print(f"trace overhead (medians of interleaved in-process reps):")
+    print(f"trace overhead (interleaved in-process reps, the pair built in "
+          f"both orders):")
     print(f"  no tracer        : {tr['base_ns_per_event']:.0f} ns/event")
     print(f"  attached, rate 0 : {tr['attached_ns_per_event']:.0f} ns/event")
-    print(f"  overhead         : {overhead:+.2%} (max {args.max_overhead:.0%})")
+    if "overhead_base_first" in tr:
+        print(f"  median per order : {tr['overhead_base_first']:+.2%} base "
+              f"built first, {tr['overhead_attached_first']:+.2%} attached "
+              f"built first")
+    print(f"  overhead         : {overhead:+.2%} (max {args.max_overhead:.0%}; "
+          f"geometric mean of the two medians)")
     print(f"  sampled rate 0.25: {tr['sampled_spans']} spans, "
           f"{tr['complete_traces']}/{tr['event_traces']} traces complete")
 
