@@ -21,6 +21,11 @@ This tool reconstructs and reports on those causal trees:
       List the first N (default 20) traces with their root kind, span
       count, delivery count, and whether anything was lost.
 
+  trace_report.py SPANS.jsonl --check
+      Check the log's integrity and exit non-zero on a violation: span ids
+      are consecutive in log order (a tracer numbers its spans 1, 2, 3,
+      ...), and every parent is 0 or an earlier id.
+
 Only the standard library is used.
 """
 
@@ -210,6 +215,30 @@ def cmd_list(by_trace, limit):
     return 0
 
 
+# ---------------------------------------------------------------------------
+# integrity check
+# ---------------------------------------------------------------------------
+
+def cmd_check(spans):
+    errors = []
+    for prev, s in zip([None] + spans, spans):
+        if prev is not None and s["span"] != prev["span"] + 1:
+            errors.append(f"span {s['span']} follows span {prev['span']}")
+        if s["parent"] != 0 and s["parent"] >= s["span"]:
+            errors.append(f"span {s['span']} has parent {s['parent']}, "
+                          f"not an earlier id")
+    for msg in errors[:10]:
+        print(f"FAIL: {msg}")
+    if len(errors) > 10:
+        print(f"FAIL: ... and {len(errors) - 10} more")
+    if errors:
+        return 1
+    first = spans[0]["span"] if spans else 0
+    last = spans[-1]["span"] if spans else 0
+    print(f"span log ok: {len(spans)} spans, ids {first}..{last}")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__,
@@ -219,9 +248,15 @@ def main():
                     help="print this trace id's causal tree")
     ap.add_argument("--list", type=int, nargs="?", const=20, default=None,
                     metavar="N", help="list the first N traces (default 20)")
+    ap.add_argument("--check", action="store_true",
+                    help="exit non-zero unless span ids are consecutive and "
+                         "every parent is 0 or an earlier id")
     args = ap.parse_args()
 
-    by_trace = index(load_spans(args.jsonl))
+    spans = load_spans(args.jsonl)
+    if args.check:
+        return cmd_check(spans)
+    by_trace = index(spans)
     if args.trace is not None:
         return cmd_tree(by_trace, args.trace)
     if args.list is not None:
